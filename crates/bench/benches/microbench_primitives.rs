@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use gompresso_bench::wikipedia_data;
 use gompresso_bitstream::{BitReader, BitWriter};
 use gompresso_format::token_code::TokenCoder;
-use gompresso_format::{BitBlock, EncodeScratch, InterleaveScratch};
+use gompresso_format::{BitBlock, InterleaveScratch};
 use gompresso_huffman::{CanonicalCode, DecodeTable, EncodeTable, Histogram, PairTable, StripeCounters};
 use gompresso_lz77::{
     common_prefix_len, decompress_block_into, decompress_block_reference, Matcher, MatcherConfig, Sequence,
@@ -361,49 +361,6 @@ fn bench_interleaved_decode(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_interleaved_encode(c: &mut Criterion) {
-    // Interleaved multi-lane sub-block encode at S = 1/2/4/8 against the
-    // single-writer sequential emitter, over a realistic 1 MiB block. The
-    // decode side rewards interleaving (it hides the serial peek → lookup →
-    // consume chain); this case tracks whether the write side ever does.
-    let data = wikipedia_data(1 << 20);
-    let cfg = MatcherConfig::gompresso();
-    let coder =
-        TokenCoder::new(cfg.min_match_len as u32, cfg.max_match_len as u32, cfg.window_size as u32).unwrap();
-    let block = Matcher::new(cfg).compress(&data);
-
-    let mut group = c.benchmark_group("micro_interleave_encode");
-    group.throughput(Throughput::Bytes(data.len() as u64));
-    group.sample_size(10);
-    group.bench_function("sequential_emit", |b| {
-        let mut scratch = EncodeScratch::new();
-        b.iter(|| {
-            BitBlock::encode_sequential_with_scratch(&block, &coder, 16, 10, &mut scratch)
-                .unwrap()
-                .bitstream
-                .len()
-        });
-    });
-    macro_rules! encode_case {
-        ($s:literal) => {
-            group.bench_function(concat!("interleaved_s", $s), |b| {
-                let mut scratch = EncodeScratch::new();
-                b.iter(|| {
-                    BitBlock::encode_sub_blocks_interleaved::<$s>(&block, &coder, 16, 10, &mut scratch)
-                        .unwrap()
-                        .bitstream
-                        .len()
-                });
-            });
-        };
-    }
-    encode_case!(1);
-    encode_case!(2);
-    encode_case!(4);
-    encode_case!(8);
-    group.finish();
-}
-
 fn bench_lut_layout(c: &mut Criterion) {
     // Packed-u32 LUT lookup vs the former (u16, u8) tuple layout, isolated
     // from the bitstream: chase 4M windows through each table.
@@ -468,7 +425,6 @@ criterion_group!(
     bench_huffman,
     bench_wild_copy,
     bench_interleaved_decode,
-    bench_interleaved_encode,
     bench_lut_layout,
     bench_matcher
 );

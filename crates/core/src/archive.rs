@@ -23,15 +23,14 @@
 //! complement of [`crate::salvage`], which recovers what it can from a file
 //! already known to be damaged.
 
-use crate::decompress::{decompress_block_checked, plausible_output_ceiling, DecompressorConfig};
+use crate::block_decoder::BlockDecoder;
+use crate::decompress::DecompressorConfig;
 use crate::{GompressoError, Result};
 use gompresso_bitstream::ByteReader;
 use gompresso_format::stream_frame::{
     prelude_len, StreamPrelude, StreamTrailer, PRELUDE_HEAD_LEN, TRAILER_MAGIC,
 };
-use gompresso_format::{
-    parse_stream_frame_head, stream_frame_layout, token_code::TokenCoder, BlockIndex, FileHeader, FormatError,
-};
+use gompresso_format::{parse_stream_frame_head, stream_frame_layout, BlockIndex, FileHeader, FormatError};
 use rayon::prelude::*;
 use std::io::{Read, Seek, SeekFrom};
 use std::ops::Range;
@@ -55,8 +54,7 @@ pub struct ArchiveReader<R> {
     file_len: u64,
     index: BlockIndex,
     format: ArchiveFormat,
-    config: DecompressorConfig,
-    coder: TokenCoder,
+    decoder: BlockDecoder,
     blocks_decoded: AtomicU64,
 }
 
@@ -99,16 +97,9 @@ impl<R: Read + Seek> ArchiveReader<R> {
                 second.map_err(|_| first_err)?
             }
         };
-        let coder = TokenCoder::new(index.min_match_len(), index.max_match_len(), index.window_size())?;
-        Ok(ArchiveReader {
-            reader,
-            file_len,
-            index,
-            format,
-            config,
-            coder,
-            blocks_decoded: AtomicU64::new(0),
-        })
+        let decoder =
+            BlockDecoder::new(config, index.min_match_len(), index.max_match_len(), index.window_size())?;
+        Ok(ArchiveReader { reader, file_len, index, format, decoder, blocks_decoded: AtomicU64::new(0) })
     }
 
     /// Header-first open: parse the container header from a growing prefix
@@ -243,7 +234,7 @@ impl<R: Read + Seek> ArchiveReader<R> {
         let aligned_start = self.index.entry(blocks.start).uncompressed_offset;
         let last = self.index.entry(blocks.end - 1);
         let aligned_len = last.uncompressed_offset + last.uncompressed_size - aligned_start;
-        if aligned_len > self.config.max_output_size {
+        if aligned_len > self.decoder.config().max_output_size {
             return Err(GompressoError::Format(FormatError::InvalidHeaderField {
                 field: "uncompressed_size",
                 value: aligned_len,
@@ -256,18 +247,9 @@ impl<R: Read + Seek> ArchiveReader<R> {
         let mut payloads = Vec::with_capacity(blocks.len());
         for idx in blocks.clone() {
             let entry = self.index.entry(idx);
-            let ceiling = plausible_output_ceiling(
-                entry.config.mode,
-                u64::from(entry.compressed_size),
-                self.index.max_match_len(),
-            );
-            if entry.uncompressed_size > ceiling {
-                return Err(GompressoError::Format(FormatError::InvalidHeaderField {
-                    field: "uncompressed_size",
-                    value: entry.uncompressed_size,
-                })
-                .into_block_err(idx as u64, self.format, entry.compressed_offset));
-            }
+            self.decoder
+                .check_plausible(entry.config.mode, u64::from(entry.compressed_size), entry.uncompressed_size)
+                .map_err(|e| e.into_block_err(idx as u64, self.format, entry.compressed_offset))?;
             if entry.compressed_offset + u64::from(entry.compressed_size) > self.file_len {
                 return Err(GompressoError::Format(FormatError::TruncatedBlock { block: idx })
                     .into_block_err(idx as u64, self.format, entry.compressed_offset));
@@ -290,8 +272,7 @@ impl<R: Read + Seek> ArchiveReader<R> {
             work.push((idx, payload.as_slice(), dst));
         }
         let index = &self.index;
-        let config = &self.config;
-        let coder = &self.coder;
+        let decoder = &self.decoder;
         let counter = &self.blocks_decoded;
         let format = self.format;
         let results: Vec<Result<()>> = work
@@ -299,7 +280,8 @@ impl<R: Read + Seek> ArchiveReader<R> {
             .map(|(idx, payload, dst)| {
                 let entry = index.entry(idx);
                 counter.fetch_add(1, Ordering::Relaxed);
-                decompress_block_checked(config, &entry.config, coder, idx, payload, entry.checksum, dst)
+                decoder
+                    .decode(&entry.config, idx, payload, entry.checksum, dst)
                     .map(|_| ())
                     .map_err(|e| e.into_block_err(idx as u64, format, entry.compressed_offset))
             })

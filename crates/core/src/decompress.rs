@@ -9,46 +9,26 @@
 //!   followed by warp-level LZ77 decompression with the block's
 //!   back-reference resolution strategy.
 //!
-//! Since the v3 container every block carries its own [`BlockConfig`], so a
-//! single file may mix Huffman and byte-coded blocks and mix resolution
-//! strategies. The decompressor follows those records by default
-//! ([`StrategySelection::Planned`]) and can force one strategy file-wide for
-//! experiments ([`StrategySelection::Force`], the paper's Figure 9a sweep).
+//! Since the v3 container every block carries its own
+//! [`BlockConfig`](crate::BlockConfig), so a single file may mix Huffman and
+//! byte-coded blocks and mix resolution strategies. The decompressor follows
+//! those records by default ([`StrategySelection::Planned`]) and can force
+//! one strategy file-wide for experiments ([`StrategySelection::Force`], the
+//! paper's Figure 9a sweep). Each block is decoded by the crate's one block
+//! decoder, which the stream, random-access and salvage drivers share.
 //!
 //! The simulated kernels charge instruction, memory and round counters that
 //! the Tesla K40 cost model turns into the GPU time estimates reported in
 //! [`DecompressionReport`].
 
+use crate::block_decoder::BlockDecoder;
 use crate::stats::{DecompressionReport, MrrStats};
-use crate::strategy::{ResolutionStrategy, StrategySelection};
-use crate::warp_lz77::decompress_block_warp;
+use crate::strategy::StrategySelection;
 use crate::{GompressoError, Result};
-use gompresso_bitstream::ByteReader;
-use gompresso_format::{
-    token_code::TokenCoder, BitBlock, BlockConfig, ByteBlock, CompressedFile, EncodingMode,
-    InterleaveScratch, SubBlockStats,
-};
-use gompresso_huffman::DecodeTable;
-use gompresso_lz77::SequenceBlock;
-use gompresso_simt::{CostModel, KernelCounters, Warp, WarpCounters, WARP_SIZE};
+use gompresso_format::CompressedFile;
+use gompresso_simt::{CostModel, KernelCounters};
 use rayon::prelude::*;
-use std::cell::RefCell;
 use std::time::Instant;
-
-/// Warp instructions charged per decoded Huffman symbol (table lookup,
-/// shift/consume, extra-bit handling, token store).
-const INSTR_PER_SYMBOL: u64 = 10;
-/// Fixed per-sub-block decoding overhead (offset computation, loop set-up).
-const SUB_BLOCK_OVERHEAD_INSTR: u64 = 24;
-/// Bytes written to device memory per decoded token (the decoder's output
-/// token stream that the LZ77 kernel later consumes).
-const TOKEN_STREAM_BYTES_PER_SEQ: u64 = 12;
-
-/// Interleaved bitstream cursors a worker keeps live while Huffman-decoding
-/// a block's sub-blocks — the CPU stand-in for one-sub-block-per-lane. Four
-/// independent decode chains cover the L1 load-to-use latency of the table
-/// lookups without spilling the round-robin state out of registers.
-const INTERLEAVE_STREAMS: usize = 4;
 
 /// Decompressor configuration.
 #[derive(Debug, Clone)]
@@ -107,32 +87,6 @@ pub fn decompress_with(
     Decompressor::new(config.clone()).decompress(file)
 }
 
-/// Per-block result produced by the parallel phase. The decompressed bytes
-/// land directly in the block's slice of the shared output buffer; only the
-/// simulation by-products travel back through the result.
-pub(crate) struct BlockResult {
-    decode_counters: Option<WarpCounters>,
-    lz77_counters: WarpCounters,
-    mrr: MrrStats,
-}
-
-/// Per-worker decode scratch: the block-level sequence/literal buffers, the
-/// interleaved-decode lane staging and the per-sub-block stats vector.
-#[derive(Default)]
-struct DecodeScratch {
-    seq_block: SequenceBlock,
-    interleave: InterleaveScratch,
-    stats: Vec<SubBlockStats>,
-}
-
-thread_local! {
-    /// Per-worker decode scratch. Each rayon worker decodes every block it
-    /// owns into the same buffers, so steady-state decompression performs
-    /// no per-block heap allocation once the scratch has grown to the
-    /// largest block handled by that worker.
-    static DECODE_SCRATCH: RefCell<DecodeScratch> = RefCell::new(DecodeScratch::default());
-}
-
 impl Decompressor {
     /// Creates a decompressor.
     pub fn new(config: DecompressorConfig) -> Self {
@@ -155,7 +109,12 @@ impl Decompressor {
         let start = Instant::now();
         let header = &file.header;
         header.validate()?;
-        let coder = TokenCoder::new(header.min_match_len, header.max_match_len, header.window_size)?;
+        let decoder = BlockDecoder::new(
+            self.config.clone(),
+            header.min_match_len,
+            header.max_match_len,
+            header.window_size,
+        )?;
 
         // Before allocating `uncompressed_size` bytes, bound the header's
         // claim: the total must not exceed the configured output ceiling,
@@ -169,7 +128,7 @@ impl Decompressor {
                 value: header.uncompressed_size,
             }));
         }
-        validate_declared_sizes(file)?;
+        validate_declared_sizes(&decoder, file)?;
 
         let mut output = vec![0u8; header.uncompressed_size as usize];
         let mut work: Vec<(usize, &[u8], &mut [u8])> = Vec::with_capacity(file.blocks.len());
@@ -180,19 +139,18 @@ impl Decompressor {
             work.push((idx, payload.bytes.as_slice(), dst));
         }
 
-        let results: Vec<Result<BlockResult>> = work
+        let results: Vec<_> = work
             .into_par_iter()
             .map(|(idx, payload, dst)| {
-                decompress_block_checked(
-                    &self.config,
-                    header.block_config(idx),
-                    &coder,
-                    idx,
-                    payload,
-                    header.block_checksums.get(idx).copied(),
-                    dst,
-                )
-                .map_err(|e| e.in_block(idx as u64, None))
+                decoder
+                    .decode(
+                        header.block_config(idx),
+                        idx,
+                        payload,
+                        header.block_checksums.get(idx).copied(),
+                        dst,
+                    )
+                    .map_err(|e| e.in_block(idx as u64, None))
             })
             .collect();
 
@@ -230,144 +188,16 @@ impl Decompressor {
     }
 }
 
-/// Decodes one block payload into `dst` under the block's recorded config,
-/// reusing the per-worker decode scratch. Shared by the in-memory
-/// [`Decompressor`] and the streaming pipeline in [`crate::stream`], so both
-/// paths apply identical resolution strategies and size validation.
-pub(crate) fn decompress_block_into(
-    config: &DecompressorConfig,
-    block: &BlockConfig,
-    coder: &TokenCoder,
-    block_index: usize,
-    payload: &[u8],
-    dst: &mut [u8],
-) -> Result<BlockResult> {
-    DECODE_SCRATCH.with(|scratch| {
-        let mut scratch = scratch.borrow_mut();
-        let scratch = &mut *scratch;
-        let seq_block = &mut scratch.seq_block;
-        let decode_counters = match block.mode {
-            EncodingMode::Bit => {
-                let mut r = ByteReader::new(payload);
-                let bit = BitBlock::deserialize(&mut r)?;
-                let warp = decode_bit_block(
-                    &bit,
-                    coder,
-                    payload.len(),
-                    seq_block,
-                    &mut scratch.interleave,
-                    &mut scratch.stats,
-                )?;
-                Some(warp.into_counters())
-            }
-            EncodingMode::Byte => {
-                let mut r = ByteReader::new(payload);
-                let byte = ByteBlock::deserialize(&mut r)?;
-                byte.decode_into(seq_block)?;
-                None
-            }
-        };
-
-        // `dst` is sized from the block's *declared* uncompressed size
-        // (header-derived for the in-memory path, payload-declared and
-        // bounds-checked for the streaming path), so a mismatch here means
-        // the payload decoded to something else entirely.
-        if seq_block.uncompressed_len != dst.len() {
-            return Err(GompressoError::OutputSizeMismatch {
-                declared: dst.len() as u64,
-                produced: seq_block.uncompressed_len as u64,
-            });
-        }
-
-        let strategy = config.strategy.resolve(block);
-        let outcome = decompress_block_warp(
-            seq_block,
-            strategy,
-            config.validate_de && strategy == ResolutionStrategy::DependencyEliminated,
-            block_index,
-            dst,
-        )?;
-        Ok(BlockResult { decode_counters, lz77_counters: outcome.counters, mrr: outcome.mrr })
-    })
-}
-
-/// Verifies a block's stored content checksum (when the archive carries
-/// one) against the decompressed bytes. One definition shared by the
-/// in-memory decompressor, the random-access [`crate::archive`] reader and
-/// the salvage decoder, so "does this block prove itself?" means the same
-/// thing on every path.
-pub(crate) fn verify_block_checksum(block: u64, stored: Option<u64>, dst: &[u8]) -> Result<()> {
-    if let Some(stored) = stored {
-        let computed = gompresso_format::content_checksum(dst);
-        if computed != stored {
-            return Err(GompressoError::BlockChecksumMismatch { block, stored, computed });
-        }
-    }
-    Ok(())
-}
-
-/// Single-block decode with the configured integrity policy applied: decodes
-/// `payload` into `dst` and, unless checksum verification is disabled,
-/// checks the stored content checksum. This is the unit the all-blocks loop,
-/// the streaming workers and the random-access reader are all built from.
-pub(crate) fn decompress_block_checked(
-    config: &DecompressorConfig,
-    block: &BlockConfig,
-    coder: &TokenCoder,
-    block_index: usize,
-    payload: &[u8],
-    checksum: Option<u64>,
-    dst: &mut [u8],
-) -> Result<BlockResult> {
-    let result = decompress_block_into(config, block, coder, block_index, payload, dst)?;
-    if config.verify_checksums {
-        verify_block_checksum(block_index as u64, checksum, dst)?;
-    }
-    Ok(result)
-}
-
-/// Format-derived expansion ceiling: byte mode is LZ4-style (a 255-chained
-/// extension byte adds at most 255 output bytes, so < 255 output bytes per
-/// payload byte); bit mode yields at most one maximal match per coded bit.
-/// A declared size above the ceiling can only come from a crafted header,
-/// so both the in-memory and streaming decompressors reject it *before*
-/// allocating the output buffer.
-pub(crate) fn plausible_output_ceiling(mode: EncodingMode, payload_len: u64, max_match_len: u32) -> u64 {
-    match mode {
-        EncodingMode::Byte => payload_len.saturating_mul(255).saturating_add(64),
-        EncodingMode::Bit => {
-            payload_len.saturating_mul(8).saturating_mul(u64::from(max_match_len.max(1))).saturating_add(64)
-        }
-    }
-}
-
 /// Checks, before any output allocation, that the header's claimed
-/// `uncompressed_size` is corroborated by the blocks themselves: the
-/// header-derived per-block sizes must sum to it exactly, every block
-/// payload's *declared* uncompressed size (read with the cheap peek that
-/// skips code tables, using the block's recorded mode) must equal its
-/// header-derived size, and no block may declare more output than its
-/// payload length could plausibly produce.
-fn validate_declared_sizes(file: &CompressedFile) -> Result<()> {
+/// `uncompressed_size` is corroborated by the blocks themselves: every
+/// block must pass the decoder's declared-size check against its
+/// header-derived size, and those sizes must sum to the header's total.
+fn validate_declared_sizes(decoder: &BlockDecoder, file: &CompressedFile) -> Result<()> {
     let header = &file.header;
     let mut total = 0u64;
     for (idx, payload) in file.blocks.iter().enumerate() {
         let expected = header.block_uncompressed_size(idx);
-        let mode = header.block_config(idx).mode;
-        let declared = match mode {
-            EncodingMode::Bit => BitBlock::peek_uncompressed_len(&payload.bytes)?,
-            EncodingMode::Byte => ByteBlock::peek_uncompressed_len(&payload.bytes)?,
-        };
-        if declared != expected {
-            return Err(GompressoError::OutputSizeMismatch { declared: expected, produced: declared });
-        }
-        let plausible = plausible_output_ceiling(mode, payload.bytes.len() as u64, header.max_match_len);
-        if declared > plausible {
-            return Err(GompressoError::Format(gompresso_format::FormatError::InvalidHeaderField {
-                field: "uncompressed_size",
-                value: declared,
-            }));
-        }
+        decoder.check_declared_size(header.block_config(idx).mode, &payload.bytes, expected)?;
         total += expected;
     }
     if total != header.uncompressed_size {
@@ -379,96 +209,13 @@ fn validate_declared_sizes(file: &CompressedFile) -> Result<()> {
     Ok(())
 }
 
-/// Parallel Huffman decoding of one block: each lane of the simulated warp
-/// decodes one sub-block using the block's two shared decode LUTs.
-///
-/// The host decode runs [`INTERLEAVE_STREAMS`] sub-block bitstreams
-/// concurrently per worker (round-robined table lookups over independent
-/// cursors — the instruction-level-parallel analogue of one sub-block per
-/// warp lane), while the warp counters are charged per lock-step group of
-/// [`WARP_SIZE`] sub-blocks from the per-sub-block stats, exactly as the
-/// sequential walk charged them.
-fn decode_bit_block(
-    bit: &BitBlock,
-    coder: &TokenCoder,
-    payload_bytes: usize,
-    seq_block: &mut SequenceBlock,
-    interleave: &mut InterleaveScratch,
-    stats: &mut Vec<SubBlockStats>,
-) -> Result<Warp> {
-    let mut warp = Warp::new();
-
-    // The compressed block is staged in device memory; reading it is a
-    // coalesced streaming read.
-    warp.global_read(payload_bytes as u64, true);
-
-    // LUT construction into shared memory (charged once per block; on the
-    // GPU the group's threads cooperate on this).
-    let lit_len_dec = DecodeTable::new(&bit.lit_len_code)?;
-    let offset_dec = DecodeTable::new(&bit.offset_code)?;
-    let lut_bytes = u64::from(lit_len_dec.simulated_shared_bytes() + offset_dec.simulated_shared_bytes());
-    warp.shared_write(lut_bytes);
-    warp.charge_instructions(lut_bytes / 4);
-
-    let n_sub_blocks = bit.sub_block_count();
-    let sequences = &mut seq_block.sequences;
-    let literals = &mut seq_block.literals;
-    sequences.clear();
-    literals.clear();
-    sequences.reserve((bit.n_sequences as usize).min(bit.bitstream.len().saturating_mul(8)));
-    literals.reserve((bit.uncompressed_len as usize).min(bit.bitstream.len().saturating_mul(8)));
-    seq_block.uncompressed_len = bit.uncompressed_len as usize;
-
-    // Lanes process sub-blocks 32 at a time in lock step; within a group
-    // the interleaved decoder drains them in chunks of INTERLEAVE_STREAMS,
-    // appending into the block-level scratch buffers in sub-block order.
-    // The bit cursor advances incrementally so seeking each sub-block is
-    // O(1) instead of a per-sub-block prefix sum.
-    let mut bit_cursor = 0u64;
-    for group_start in (0..n_sub_blocks).step_by(WARP_SIZE) {
-        let group_end = (group_start + WARP_SIZE).min(n_sub_blocks);
-        stats.clear();
-        bit.decode_sub_blocks_interleaved::<INTERLEAVE_STREAMS>(
-            group_start,
-            group_end - group_start,
-            bit_cursor,
-            coder,
-            &lit_len_dec,
-            &offset_dec,
-            interleave,
-            sequences,
-            literals,
-            stats,
-        )?;
-        bit_cursor += bit.sub_block_bits[group_start..group_end].iter().map(|&b| u64::from(b)).sum::<u64>();
-
-        let mut max_lane_symbols = 0u64;
-        let mut group_sequences = 0u64;
-        let mut group_shared_reads = 0u64;
-        for sub_stats in stats.iter() {
-            let symbols = sub_stats.symbols();
-            max_lane_symbols = max_lane_symbols.max(symbols);
-            group_sequences += u64::from(sub_stats.sequences);
-            group_shared_reads += symbols * 4;
-        }
-        // Lock-step cost: the warp runs as long as its busiest lane.
-        warp.charge_instructions(max_lane_symbols * INSTR_PER_SYMBOL + SUB_BLOCK_OVERHEAD_INSTR);
-        warp.shared_read(group_shared_reads);
-        // The decoded token stream is written back to device memory for the
-        // LZ77 kernel (paper, Section III-B-1).
-        warp.global_write(group_sequences * TOKEN_STREAM_BYTES_PER_SEQ, true);
-        // Literal bytes also travel through the token stream.
-        warp.global_write(literals.len() as u64, true);
-    }
-
-    Ok(warp)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::compress::compress;
     use crate::config::CompressorConfig;
+    use crate::strategy::ResolutionStrategy;
+    use gompresso_format::{BlockConfig, EncodingMode};
 
     fn wiki_like(len: usize) -> Vec<u8> {
         let mut data = Vec::with_capacity(len);

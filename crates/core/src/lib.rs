@@ -43,6 +43,7 @@
 #![warn(missing_docs)]
 
 pub mod archive;
+mod block_decoder;
 pub mod compress;
 pub mod config;
 pub mod decompress;

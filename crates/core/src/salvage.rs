@@ -32,17 +32,14 @@
 //! candidate on structure + decode alone and the report marks the weaker
 //! evidence via [`RecoveryReport::checksummed`].
 
-use crate::decompress::{
-    decompress_block_into, plausible_output_ceiling, verify_block_checksum, DecompressorConfig,
-};
+use crate::block_decoder::BlockDecoder;
+use crate::decompress::DecompressorConfig;
 use crate::{GompressoError, Result};
 use gompresso_bitstream::{read_varint, varint_len, ByteReader};
 use gompresso_format::stream_frame::{
     prelude_len, StreamPrelude, StreamTrailer, PRELUDE_HEAD_LEN, STREAM_FORMAT_VERSION, TRAILER_MAGIC,
 };
-use gompresso_format::{
-    token_code::TokenCoder, BlockConfig, FileHeader, FormatError, BLOCK_CONFIG_LEN, MAGIC,
-};
+use gompresso_format::{BlockConfig, FileHeader, FormatError, BLOCK_CONFIG_LEN, MAGIC};
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
@@ -145,7 +142,7 @@ impl RecoveryReport {
 pub fn decompress_salvage(bytes: &[u8], config: &DecompressorConfig) -> Result<(Vec<u8>, RecoveryReport)> {
     let mut r = ByteReader::new(bytes);
     let (header, head_checksum) = FileHeader::deserialize_lenient(&mut r).map_err(GompressoError::Format)?;
-    let coder = TokenCoder::new(header.min_match_len, header.max_match_len, header.window_size)?;
+    let decoder = salvage_decoder(config, header.min_match_len, header.max_match_len, header.window_size)?;
     if header.uncompressed_size > config.max_output_size {
         return Err(GompressoError::Format(FormatError::InvalidHeaderField {
             field: "uncompressed_size",
@@ -175,8 +172,13 @@ pub fn decompress_salvage(bytes: &[u8], config: &DecompressorConfig) -> Result<(
                 GompressoError::Format(FormatError::TruncatedBlock { block: idx }).in_block(idx as u64, None),
             ),
             Some(payload) => {
-                match salvage_decode_container_block(config, &header, &coder, idx, payload, dst) {
-                    Ok(()) => BlockStatus::Recovered,
+                let block = header.block_config(idx);
+                let checksum = header.block_checksums.get(idx).copied();
+                match decoder
+                    .check_plausible(block.mode, payload_len, out_len)
+                    .and_then(|()| decoder.decode(block, idx, payload, checksum, dst))
+                {
+                    Ok(_) => BlockStatus::Recovered,
                     Err(e) => {
                         dst.fill(0); // never emit a partial decode
                         BlockStatus::Lost(e.in_block(idx as u64, None))
@@ -191,29 +193,17 @@ pub fn decompress_salvage(bytes: &[u8], config: &DecompressorConfig) -> Result<(
     Ok((output, report))
 }
 
-/// Decodes one container block for salvage, applying the same plausibility
-/// bound and checksum check the strict path uses.
-fn salvage_decode_container_block(
+/// The salvage decoder: the caller's configuration with checksum
+/// verification forced on, whatever the caller's policy — the checksum is
+/// the evidence that recovered bytes are the original bytes.
+fn salvage_decoder(
     config: &DecompressorConfig,
-    header: &FileHeader,
-    coder: &TokenCoder,
-    idx: usize,
-    payload: &[u8],
-    dst: &mut [u8],
-) -> Result<()> {
-    let block = header.block_config(idx);
-    let declared = dst.len() as u64;
-    if declared > plausible_output_ceiling(block.mode, payload.len() as u64, header.max_match_len) {
-        return Err(GompressoError::Format(FormatError::InvalidHeaderField {
-            field: "uncompressed_size",
-            value: declared,
-        }));
-    }
-    decompress_block_into(config, block, coder, idx, payload, dst)?;
-    // Salvage always verifies, regardless of the caller's checksum policy:
-    // the checksum is the evidence that the recovered bytes are original.
-    verify_block_checksum(idx as u64, header.block_checksums.get(idx).copied(), dst)?;
-    Ok(())
+    min_match_len: u32,
+    max_match_len: u32,
+    window_size: u32,
+) -> Result<BlockDecoder> {
+    let config = DecompressorConfig { verify_checksums: true, ..config.clone() };
+    BlockDecoder::new(config, min_match_len, max_match_len, window_size)
 }
 
 /// One frame successfully parsed and decoded during stream salvage.
@@ -227,11 +217,9 @@ struct SalvagedFrame {
 /// Internal stream-salvage context: the whole input plus the parsed head.
 struct StreamSalvage<'a> {
     bytes: &'a [u8],
-    config: &'a DecompressorConfig,
-    coder: TokenCoder,
+    decoder: BlockDecoder,
     version: u8,
     block_size: usize,
-    max_match_len: u32,
     legacy_uniform: Option<BlockConfig>,
     max_frame: u64,
 }
@@ -240,12 +228,13 @@ impl<'a> StreamSalvage<'a> {
     /// Attempts to parse **and fully vet** the frame at `at`: structural
     /// parse, payload decode, and (v4) content-checksum verification. This
     /// is deliberately the strictest possible acceptance test, because the
-    /// scan path uses it to arbitrate resynchronization candidates.
-    fn try_frame(&self, at: u64) -> Result<SalvagedFrame> {
+    /// scan path uses it to arbitrate resynchronization candidates. `block`
+    /// is the index of the record the frame would fill; errors name it.
+    fn try_frame(&self, at: u64, block: u64) -> Result<SalvagedFrame> {
         let bytes = self
             .bytes
             .get(at as usize..)
-            .ok_or(GompressoError::Format(FormatError::TruncatedBlock { block: 0 }))?;
+            .ok_or(GompressoError::Format(FormatError::TruncatedBlock { block: block as usize }))?;
         let mut r = ByteReader::new(bytes);
         let len = read_varint(&mut r).map_err(FormatError::Stream)?;
         if len == 0 || len > self.max_frame {
@@ -265,32 +254,9 @@ impl<'a> StreamSalvage<'a> {
         };
         let payload = r
             .read_bytes(len as usize)
-            .map_err(|_| GompressoError::Format(FormatError::TruncatedBlock { block: 0 }))?;
-        let declared = match config.mode {
-            gompresso_format::EncodingMode::Bit => {
-                gompresso_format::BitBlock::peek_uncompressed_len(payload)?
-            }
-            gompresso_format::EncodingMode::Byte => {
-                gompresso_format::ByteBlock::peek_uncompressed_len(payload)?
-            }
-        };
-        if declared == 0 || declared > self.block_size as u64 {
-            return Err(GompressoError::Format(FormatError::InvalidHeaderField {
-                field: "block_uncompressed_size",
-                value: declared,
-            }));
-        }
-        if declared > plausible_output_ceiling(config.mode, payload.len() as u64, self.max_match_len) {
-            return Err(GompressoError::Format(FormatError::InvalidHeaderField {
-                field: "uncompressed_size",
-                value: declared,
-            }));
-        }
-        let mut out = vec![0u8; declared as usize];
-        decompress_block_into(self.config, &config, &self.coder, 0, payload, &mut out)?;
-        // Salvage always verifies: the checksum is the evidence that the
-        // recovered bytes are the original bytes.
-        verify_block_checksum(0, checksum, &out)?;
+            .map_err(|_| GompressoError::Format(FormatError::TruncatedBlock { block: block as usize }))?;
+        let mut out = Vec::new();
+        self.decoder.decode_frame(&config, block, payload, checksum, self.block_size, &mut out)?;
         Ok(SalvagedFrame { consumed: r.position() as u64, output: out })
     }
 
@@ -318,7 +284,7 @@ impl<'a> StreamSalvage<'a> {
                 if (idx as u64) + 1 == n { total.saturating_sub(out_at) } else { self.block_size as u64 };
             let input_range = (in_at, (in_at + frame_len).min(self.bytes.len() as u64));
             let output_range = (out_at, out_at + out_len);
-            let status = match self.try_frame(in_at) {
+            let status = match self.try_frame(in_at, idx as u64) {
                 Ok(frame) if frame.output.len() as u64 == out_len && frame.consumed == frame_len => {
                     out.extend_from_slice(&frame.output);
                     BlockStatus::Recovered
@@ -373,7 +339,7 @@ impl<'a> StreamSalvage<'a> {
             if self.at_terminator(cursor) {
                 break;
             }
-            match self.try_frame(cursor) {
+            match self.try_frame(cursor, record_idx) {
                 Ok(frame) => {
                     let out_at = out.len() as u64;
                     out.extend_from_slice(&frame.output);
@@ -394,7 +360,7 @@ impl<'a> StreamSalvage<'a> {
                         if next >= end || self.at_terminator(next) {
                             break None;
                         }
-                        if self.try_frame(next).is_ok() {
+                        if self.try_frame(next, record_idx).is_ok() {
                             break Some(next);
                         }
                         next += 1;
@@ -527,15 +493,18 @@ impl crate::stream::StreamDecompressor {
             bytes.get(..head_len).ok_or(GompressoError::Format(FormatError::TruncatedBlock { block: 0 }))?;
         let (prelude, head_intact) =
             StreamPrelude::deserialize_lenient(prelude_bytes).map_err(GompressoError::Format)?;
-        let coder = TokenCoder::new(prelude.min_match_len, prelude.max_match_len, prelude.window_size)?;
+        let decoder = salvage_decoder(
+            self.config(),
+            prelude.min_match_len,
+            prelude.max_match_len,
+            prelude.window_size,
+        )?;
         let checksummed = prelude.version == STREAM_FORMAT_VERSION;
         let ctx = StreamSalvage {
             bytes,
-            config: self.config(),
-            coder,
+            decoder,
             version: prelude.version,
             block_size: prelude.block_size as usize,
-            max_match_len: prelude.max_match_len,
             legacy_uniform: prelude.legacy_uniform,
             max_frame: 2 * prelude.block_size as u64 + 4096,
         };

@@ -56,9 +56,10 @@
 //! keeps `max(2, mem_budget / (3 × block_size))` blocks in flight (capped
 //! at `2 × workers + 2`, beyond which extra buffers add nothing).
 
+use crate::block_decoder::BlockDecoder;
 use crate::compress::{compress_block_with_scratch, COMPRESS_SCRATCH};
 use crate::config::{BlockPlan, CompressorConfig};
-use crate::decompress::{decompress_block_into, plausible_output_ceiling, DecompressorConfig};
+use crate::decompress::DecompressorConfig;
 use crate::planner::{planner_for, BlockFeedback};
 use crate::{GompressoError, Result};
 use gompresso_format::stream_frame::{
@@ -66,8 +67,8 @@ use gompresso_format::stream_frame::{
     UNCOMPRESSED_SIZE_OFFSET,
 };
 use gompresso_format::{
-    content_checksum, token_code::TokenCoder, BitBlock, BlockConfig, ByteBlock, EncodingMode, FormatError,
-    BLOCK_CONFIG_LEN, MAGIC, MAX_BLOCK_COUNT,
+    content_checksum, token_code::TokenCoder, BlockConfig, FormatError, BLOCK_CONFIG_LEN, MAGIC,
+    MAX_BLOCK_COUNT,
 };
 use std::collections::BTreeMap;
 use std::fs::File;
@@ -690,9 +691,13 @@ impl StreamDecompressor {
         prelude_bytes[..PRELUDE_HEAD_LEN].copy_from_slice(&head);
         counting.read_exact(&mut prelude_bytes[PRELUDE_HEAD_LEN..])?;
         let prelude = StreamPrelude::deserialize(&prelude_bytes).map_err(GompressoError::Format)?;
-        let coder = TokenCoder::new(prelude.min_match_len, prelude.max_match_len, prelude.window_size)?;
+        let decoder = BlockDecoder::new(
+            self.config.clone(),
+            prelude.min_match_len,
+            prelude.max_match_len,
+            prelude.window_size,
+        )?;
         let block_size = prelude.block_size as usize;
-        let max_match_len = prelude.max_match_len;
         // v2 frames carry no config; the prelude's synthesized uniform
         // config applies to every block. Only v4 frames carry checksums.
         let legacy_uniform = prelude.legacy_uniform;
@@ -700,7 +705,6 @@ impl StreamDecompressor {
 
         let workers = effective_workers(self.workers);
         let in_flight = blocks_in_flight(self.mem_budget, block_size, workers);
-        let dconf = &self.config;
 
         let mut total_out = 0u64;
         let mut blocks_written = 0u64;
@@ -808,7 +812,7 @@ impl StreamDecompressor {
             // decode into a per-block output buffer.
             for _ in 0..workers {
                 let done_tx = done_tx.clone();
-                let coder = &coder;
+                let decoder = &decoder;
                 s.spawn(move || loop {
                     let msg = lock_unpoisoned(work_rx).recv();
                     let Ok(FrameJob { idx, payload: buf, config, checksum, offset }) = msg else { break };
@@ -818,20 +822,8 @@ impl StreamDecompressor {
                         // catch_unwind: see the compression worker.
                         catch_unwind(AssertUnwindSafe(|| {
                             let mut out = lock_unpoisoned(scrap_rx).try_recv().unwrap_or_default();
-                            match decode_stream_block(
-                                dconf,
-                                &config,
-                                coder,
-                                block_size,
-                                max_match_len,
-                                idx,
-                                &buf,
-                                &mut out,
-                            ) {
-                                Ok(()) => match verify_block_checksum(dconf, idx, checksum, &out) {
-                                    Ok(()) => BlockOutcome::Produced(out, None),
-                                    Err(e) => BlockOutcome::Failed(e.in_block(idx, Some(offset))),
-                                },
+                            match decoder.decode_frame(&config, idx, &buf, checksum, block_size, &mut out) {
+                                Ok(()) => BlockOutcome::Produced(out, None),
                                 Err(e) => BlockOutcome::Failed(e.in_block(idx, Some(offset))),
                             }
                         }))
@@ -917,53 +909,6 @@ impl StreamDecompressor {
     }
 }
 
-/// Validates and decodes one streamed block payload into `out` (a recycled
-/// output buffer; the declared size is checked against the block size and
-/// the payload-expansion ceiling *before* the buffer is sized from it).
-#[allow(clippy::too_many_arguments)]
-fn decode_stream_block(
-    config: &DecompressorConfig,
-    block: &BlockConfig,
-    coder: &TokenCoder,
-    block_size: usize,
-    max_match_len: u32,
-    idx: u64,
-    payload: &[u8],
-    out: &mut Vec<u8>,
-) -> Result<()> {
-    let declared = match block.mode {
-        EncodingMode::Bit => BitBlock::peek_uncompressed_len(payload)?,
-        EncodingMode::Byte => ByteBlock::peek_uncompressed_len(payload)?,
-    };
-    if declared == 0 || declared > block_size as u64 {
-        return Err(invalid_field("block_uncompressed_size", declared));
-    }
-    if declared > plausible_output_ceiling(block.mode, payload.len() as u64, max_match_len) {
-        return Err(invalid_field("uncompressed_size", declared));
-    }
-    // No full re-zero of the recycled buffer: resize only zero-fills the
-    // grown tail, and decompress_block_into succeeds only when every byte
-    // of the destination was written (stale bytes can never leak — a
-    // failing block's buffer is dropped, not emitted).
-    out.resize(declared as usize, 0);
-    decompress_block_into(config, block, coder, idx as usize, payload, out)?;
-    Ok(())
-}
-
-/// Verifies a decoded block against the content checksum its v4 frame
-/// carried (a no-op for legacy frames or when verification is disabled).
-fn verify_block_checksum(
-    config: &DecompressorConfig,
-    idx: u64,
-    stored: Option<u64>,
-    out: &[u8],
-) -> Result<()> {
-    if !config.verify_checksums {
-        return Ok(());
-    }
-    crate::decompress::verify_block_checksum(idx, stored, out)
-}
-
 /// Compresses the file at `input` into a v4 streaming container at
 /// `output` with bounded memory, back-patching the prelude totals (the
 /// output file is seekable by construction). Uses the rayon pool size for
@@ -996,6 +941,7 @@ mod tests {
     use gompresso_bitstream::ByteWriter;
     use gompresso_format::stream_frame::{LEGACY_STREAM_FORMAT_VERSION, TRAILER_MAGIC, UNKNOWN_TOTAL};
     use gompresso_format::CompressedFile;
+    use gompresso_format::EncodingMode;
     use std::io::Cursor;
 
     /// Byte-for-byte the checksum-less trailer layout v2/v3 streams carry.

@@ -40,8 +40,8 @@ fn decode_symbol_unfused(dec: &DecodeTable, r: &mut BitReader<'_>) -> u16 {
     symbol
 }
 
-/// Old-style sub-block decode: fresh vectors per sub-block, unfused symbol
-/// decoding, mirroring the pre-rework `BitBlock::decode_sub_block_with`.
+/// Old-style sub-block decode: fresh vectors per sub-block and unfused
+/// symbol decoding, as the pre-rework allocating sub-block decoder did.
 fn decode_sub_block_reference(
     bit: &BitBlock,
     index: usize,

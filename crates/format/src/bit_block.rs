@@ -14,21 +14,6 @@ use gompresso_bitstream::{read_varint, write_varint, BitReader, BitWriter, ByteR
 use gompresso_huffman::{CanonicalCode, DecodeTable, EncodeTable, Histogram, PairTable, StripeCounters};
 use gompresso_lz77::{Sequence, SequenceBlock};
 
-/// Lanes the default block encoder keeps live.
-///
-/// Measured on the host benchmark rows, the write side does not reward
-/// interleaving the way the decode side does: decoding carries a long
-/// serial dependency chain per symbol (peek → table load → consume) that
-/// lane interleaving hides, while the grouped emitter touches its writer
-/// once per sequence and is throughput-bound on table loads the
-/// out-of-order window already overlaps. Extra lanes only add staging
-/// and splice cost (S=4 measures ~10 % slower than S=1 on all rows), so
-/// the default stays at one lane — which, with lane 0 emitting directly
-/// into the block writer, stages and splices nothing at all. The
-/// microbench suite tracks the S sweep so a future core with a longer
-/// store-forwarding penalty can revisit this.
-pub const ENCODE_LANES: usize = 1;
-
 /// Literal bytes a block must contain before rebuilding the 64 K-entry
 /// paired-literal table pays for itself.
 const PAIR_TABLE_MIN_LITERALS: usize = 1 << 18;
@@ -56,8 +41,7 @@ pub struct BitBlock {
 /// Reusable per-worker state for [`BitBlock::encode_with_scratch`]: the two
 /// pass-1 histograms (with their striped lane counters), the flat
 /// encode-side token tables (cached per coder), the paired-literal table
-/// (rebuilt per block when gated in) and the lane staging writers of the
-/// interleaved emit pass.
+/// (rebuilt per block when gated in) and the per-block fused match tables.
 ///
 /// One scratch per worker lets every block of a file reuse the same
 /// allocations; [`BitBlock::encode`] creates a throwaway one.
@@ -80,8 +64,6 @@ pub struct EncodeScratch {
     len_fused: Vec<(u64, u32)>,
     /// Per-block fused offset entries, indexed by `offset - 1`.
     off_fused: Vec<(u64, u32)>,
-    /// Per-lane staging writers for the interleaved emit pass.
-    lane_writers: Vec<BitWriter>,
 }
 
 impl EncodeScratch {
@@ -95,7 +77,6 @@ impl EncodeScratch {
             tokens: None,
             len_fused: Vec::new(),
             off_fused: Vec::new(),
-            lane_writers: Vec::new(),
         }
     }
 
@@ -254,22 +235,6 @@ fn pack(w: &mut BitWriter, group: &mut u64, group_bits: &mut u32, bits: u64, wid
 }
 
 impl Emitter<'_> {
-    fn new<'a>(plan: &'a EntropyPlan, scratch_refs: EmitScratchRefs<'a>) -> Result<Emitter<'a>> {
-        let lit_codes = plan
-            .lit_len_enc
-            .literal_codes()
-            .ok_or(FormatError::InvalidToken { reason: "literal/length alphabet below 256 symbols" })?;
-        Ok(Emitter {
-            plan,
-            pairs: scratch_refs.pairs,
-            lit_codes,
-            len_fused: scratch_refs.len_fused,
-            off_fused: scratch_refs.off_fused,
-            tables: scratch_refs.tables,
-            min_match_len: scratch_refs.tables.min_match_len(),
-        })
-    }
-
     /// Emits one sequence — its literal run, then a match token or the
     /// end-of-sequences marker — into `w`, advancing `lit_cursor`.
     ///
@@ -362,14 +327,6 @@ impl Emitter<'_> {
     }
 }
 
-/// The borrowed pieces of [`EncodeScratch`] the emit pass reads.
-struct EmitScratchRefs<'a> {
-    pairs: &'a PairTable,
-    len_fused: &'a [(u64, u32)],
-    off_fused: &'a [(u64, u32)],
-    tables: &'a TokenEncodeTables,
-}
-
 impl BitBlock {
     /// Entropy-codes an LZ77 sequence block.
     pub fn encode(
@@ -390,197 +347,10 @@ impl BitBlock {
     /// Entropy-codes an LZ77 sequence block, reusing caller-provided
     /// scratch.
     ///
-    /// This is the interleaved emit path with the default lane count
-    /// ([`ENCODE_LANES`]); its output is bit-identical to
-    /// [`Self::encode_sequential_with_scratch`] for every input — see
-    /// [`Self::encode_sub_blocks_interleaved`] for why.
+    /// Pass 1 builds both histograms and codes and sizes the output
+    /// exactly; pass 2 emits the sequences sub-block by sub-block into one
+    /// writer, recording each sub-block's bit size.
     pub fn encode_with_scratch(
-        block: &SequenceBlock,
-        coder: &TokenCoder,
-        sequences_per_sub_block: u32,
-        max_codeword_len: u8,
-        scratch: &mut EncodeScratch,
-    ) -> Result<Self> {
-        Self::encode_sub_blocks_interleaved::<ENCODE_LANES>(
-            block,
-            coder,
-            sequences_per_sub_block,
-            max_codeword_len,
-            scratch,
-        )
-    }
-
-    /// Entropy-codes a sequence block with `S` interleaved lane writers —
-    /// the write-side mirror of [`Self::decode_sub_blocks_interleaved`].
-    ///
-    /// Each sub-block's bit encoding is position-independent (a sub-block
-    /// is just the concatenation of its sequences' code words), so `S`
-    /// sub-blocks are staged concurrently into `S` independent
-    /// [`BitWriter`] lanes and spliced back into the block stream in
-    /// sub-block order after each chunk. The lanes' accumulator chains have
-    /// no data dependencies on each other, so the round-robin emission
-    /// overlaps their shift/store latencies — the same ILP the interleaved
-    /// decoder extracts from its table lookups. Because the splice is an
-    /// exact bit-append, the serialized block is **bit-identical to the
-    /// sequential encoder for every `S`**, including sub-block counts not
-    /// divisible by `S`; there is no compatibility mode to opt into.
-    ///
-    /// Pass 1 (histograms and code construction) is shared with the
-    /// sequential path: a striped two-level literal histogram, flat token
-    /// tables for the match symbols, and an exact preallocation of the
-    /// output stream from the finished codes.
-    pub fn encode_sub_blocks_interleaved<const S: usize>(
-        block: &SequenceBlock,
-        coder: &TokenCoder,
-        sequences_per_sub_block: u32,
-        max_codeword_len: u8,
-        scratch: &mut EncodeScratch,
-    ) -> Result<Self> {
-        assert!(S >= 1, "at least one interleaved lane");
-        assert!(sequences_per_sub_block >= 1, "sub-blocks must hold at least one sequence");
-
-        let plan = plan_entropy(block, coder, max_codeword_len, scratch)?;
-        // Lane 0 of every chunk emits straight into the block writer (it is
-        // first in drain order anyway), so only S-1 staging writers exist.
-        let staged = S - 1;
-        if scratch.lane_writers.len() < staged {
-            scratch.lane_writers.resize_with(staged, BitWriter::new);
-        }
-        let EncodeScratch { pairs, tokens, len_fused, off_fused, lane_writers, .. } = scratch;
-        let tables = &tokens.as_ref().expect("ensure_tokens populated the cache").1;
-        let emitter = Emitter::new(&plan, EmitScratchRefs { pairs, len_fused, off_fused, tables })?;
-        let lanes = &mut lane_writers[..staged];
-
-        let mut w = BitWriter::with_capacity((plan.total_bits as usize).div_ceil(8));
-        let per = sequences_per_sub_block as usize;
-        let n_sub_blocks = block.sequences.len().div_ceil(per);
-        let mut sub_block_bits = Vec::with_capacity(n_sub_blocks);
-        let push_bits = |sub_block_bits: &mut Vec<u32>, bits: u64| {
-            u32::try_from(bits)
-                .map(|b| sub_block_bits.push(b))
-                .map_err(|_| FormatError::InvalidToken { reason: "sub-block exceeds 2^32 bits" })
-        };
-
-        // Cursors of one emission lane: the sub-block's sequence range and
-        // its position in the shared literal buffer.
-        #[derive(Clone, Copy, Default)]
-        struct LaneCursor {
-            seq_idx: usize,
-            seq_end: usize,
-            lit_cursor: usize,
-        }
-
-        let mut sub = 0usize;
-        let mut seq_cursor = 0usize;
-        let mut lit_cursor = 0usize;
-        let mut cursors = [LaneCursor::default(); S];
-        while sub < n_sub_blocks {
-            let chunk = S.min(n_sub_blocks - sub);
-            for (lane, cur) in cursors.iter_mut().enumerate().take(chunk) {
-                let seq_end = (seq_cursor + per).min(block.sequences.len());
-                *cur = LaneCursor { seq_idx: seq_cursor, seq_end, lit_cursor };
-                if lane > 0 {
-                    lanes[lane - 1].clear();
-                }
-                // Later lanes start mid-buffer: advance the shared literal
-                // cursor over this lane's sequences. The last lane's span
-                // is not scanned — its post-emit cursor supplies the next
-                // chunk's starting position instead, so a single-lane
-                // encoder never scans at all.
-                if lane + 1 < chunk {
-                    for seq in &block.sequences[seq_cursor..seq_end] {
-                        lit_cursor += seq.literal_len as usize;
-                    }
-                }
-                seq_cursor = seq_end;
-            }
-            let w_start = w.bit_len();
-
-            if chunk == S && cursors.iter().all(|c| c.seq_end - c.seq_idx == per) {
-                // Full chunk: every lane holds exactly `per` sequences, so
-                // the round-robin needs no liveness checks — one sequence
-                // per lane per turn, with the lanes' independent
-                // accumulator chains overlapping in flight. The cursors
-                // are split into plain scalar arrays so the compiler keeps
-                // them in registers across the turn loop.
-                let mut seq_idx = [0usize; S];
-                let mut lit = [0usize; S];
-                for lane in 0..S {
-                    seq_idx[lane] = cursors[lane].seq_idx;
-                    lit[lane] = cursors[lane].lit_cursor;
-                }
-                for _ in 0..per {
-                    emitter.emit(&mut w, &block.sequences[seq_idx[0]], &block.literals, &mut lit[0])?;
-                    seq_idx[0] += 1;
-                    for lane in 1..S {
-                        emitter.emit(
-                            &mut lanes[lane - 1],
-                            &block.sequences[seq_idx[lane]],
-                            &block.literals,
-                            &mut lit[lane],
-                        )?;
-                        seq_idx[lane] += 1;
-                    }
-                }
-                for lane in 0..S {
-                    cursors[lane].seq_idx = seq_idx[lane];
-                    cursors[lane].lit_cursor = lit[lane];
-                }
-            } else {
-                // Ragged tail: round-robin with liveness checks. Every
-                // sub-block holds at least one sequence, so all `chunk`
-                // lanes start live.
-                let mut active = chunk;
-                while active > 0 {
-                    for (lane, cur) in cursors.iter_mut().enumerate().take(chunk) {
-                        if cur.seq_idx == cur.seq_end {
-                            continue;
-                        }
-                        let lane_w = if lane == 0 { &mut w } else { &mut lanes[lane - 1] };
-                        emitter.emit(
-                            lane_w,
-                            &block.sequences[cur.seq_idx],
-                            &block.literals,
-                            &mut cur.lit_cursor,
-                        )?;
-                        cur.seq_idx += 1;
-                        if cur.seq_idx == cur.seq_end {
-                            active -= 1;
-                        }
-                    }
-                }
-            }
-
-            // Drain in sub-block order: lane 0 is already in place; record
-            // its size, then splice the staged lanes behind it.
-            push_bits(&mut sub_block_bits, w.bit_len() - w_start)?;
-            for staged_w in lanes.iter().take(chunk - 1) {
-                push_bits(&mut sub_block_bits, staged_w.bit_len())?;
-                w.append_writer(staged_w);
-            }
-            lit_cursor = cursors[chunk - 1].lit_cursor;
-            sub += chunk;
-        }
-
-        debug_assert_eq!(w.bit_len(), plan.total_bits, "size hint must predict the bitstream exactly");
-        Ok(BitBlock {
-            lit_len_code: plan.lit_len_code,
-            offset_code: plan.offset_code,
-            n_sequences: block.sequences.len() as u32,
-            uncompressed_len: block.uncompressed_len as u32,
-            sequences_per_sub_block,
-            sub_block_bits,
-            bitstream: w.finish(),
-        })
-    }
-
-    /// Entropy-codes a sequence block with a single writer walking the
-    /// sub-blocks in order — the pre-interleaving reference emitter.
-    ///
-    /// Kept as the ground truth the equivalence suite and the microbenches
-    /// compare [`Self::encode_sub_blocks_interleaved`] against; production
-    /// paths use [`Self::encode_with_scratch`].
-    pub fn encode_sequential_with_scratch(
         block: &SequenceBlock,
         coder: &TokenCoder,
         sequences_per_sub_block: u32,
@@ -591,30 +361,33 @@ impl BitBlock {
         let plan = plan_entropy(block, coder, max_codeword_len, scratch)?;
         let EncodeScratch { pairs, tokens, len_fused, off_fused, .. } = scratch;
         let tables = &tokens.as_ref().expect("ensure_tokens populated the cache").1;
-        let emitter = Emitter::new(&plan, EmitScratchRefs { pairs, len_fused, off_fused, tables })?;
+        let lit_codes = plan
+            .lit_len_enc
+            .literal_codes()
+            .ok_or(FormatError::InvalidToken { reason: "literal/length alphabet below 256 symbols" })?;
+        let emitter = Emitter {
+            plan: &plan,
+            pairs,
+            lit_codes,
+            len_fused,
+            off_fused,
+            tables,
+            min_match_len: tables.min_match_len(),
+        };
 
         let mut w = BitWriter::with_capacity((plan.total_bits as usize).div_ceil(8));
-        let n_sub_blocks = block.sequences.len().div_ceil(sequences_per_sub_block as usize);
-        let mut sub_block_bits = Vec::with_capacity(n_sub_blocks);
-        let mut sub_block_start_bit = 0u64;
+        let per = sequences_per_sub_block as usize;
+        let mut sub_block_bits = Vec::with_capacity(block.sequences.len().div_ceil(per));
         let mut lit_cursor = 0usize;
-        // Countdown instead of `(i + 1) % sequences_per_sub_block`: the
-        // boundary test runs per sequence and a runtime modulo is a real
-        // division on most cores.
-        let mut seqs_left_in_sub_block = sequences_per_sub_block;
-        for (i, seq) in block.sequences.iter().enumerate() {
-            emitter.emit(&mut w, seq, &block.literals, &mut lit_cursor)?;
-            seqs_left_in_sub_block -= 1;
-            let is_last = i + 1 == block.sequences.len();
-            if seqs_left_in_sub_block == 0 || is_last {
-                seqs_left_in_sub_block = sequences_per_sub_block;
-                let bits = w.bit_len() - sub_block_start_bit;
-                sub_block_bits.push(
-                    u32::try_from(bits)
-                        .map_err(|_| FormatError::InvalidToken { reason: "sub-block exceeds 2^32 bits" })?,
-                );
-                sub_block_start_bit = w.bit_len();
+        for sub in block.sequences.chunks(per) {
+            let start = w.bit_len();
+            for seq in sub {
+                emitter.emit(&mut w, seq, &block.literals, &mut lit_cursor)?;
             }
+            sub_block_bits.push(
+                u32::try_from(w.bit_len() - start)
+                    .map_err(|_| FormatError::InvalidToken { reason: "sub-block exceeds 2^32 bits" })?,
+            );
         }
 
         debug_assert_eq!(w.bit_len(), plan.total_bits, "size hint must predict the bitstream exactly");
@@ -656,40 +429,13 @@ impl BitBlock {
         Ok(u64::from(self.n_sequences).saturating_sub(start).min(full) as u32)
     }
 
-    /// Decodes one sub-block into its sequences and literal bytes.
+    /// Decodes one sub-block — the unit of work one GPU thread performs
+    /// during parallel Huffman decoding — *appending* its sequences and
+    /// literal bytes to caller-provided buffers.
     ///
-    /// This is the unit of work one GPU thread performs during parallel
-    /// Huffman decoding; `gompresso-core` calls it once per (warp lane,
-    /// sub-block) pair.
-    pub fn decode_sub_block(&self, index: usize, coder: &TokenCoder) -> Result<(Vec<Sequence>, Vec<u8>)> {
-        let lit_len_dec = DecodeTable::new(&self.lit_len_code)?;
-        let offset_dec = DecodeTable::new(&self.offset_code)?;
-        self.decode_sub_block_with(index, coder, &lit_len_dec, &offset_dec)
-    }
-
-    /// Same as [`Self::decode_sub_block`] but reuses prebuilt decode tables
-    /// (the paper shares the two LUTs of a block across all of its
-    /// sub-block decoders via GPU shared memory).
-    pub fn decode_sub_block_with(
-        &self,
-        index: usize,
-        coder: &TokenCoder,
-        lit_len_dec: &DecodeTable,
-        offset_dec: &DecodeTable,
-    ) -> Result<(Vec<Sequence>, Vec<u8>)> {
-        let mut sequences = Vec::new();
-        let mut literals = Vec::new();
-        self.decode_sub_block_into(index, coder, lit_len_dec, offset_dec, &mut sequences, &mut literals)?;
-        Ok((sequences, literals))
-    }
-
-    /// Decodes one sub-block, *appending* its sequences and literal bytes to
-    /// caller-provided buffers.
-    ///
-    /// This is the allocation-free core of sub-block decoding: the zero-copy
-    /// driver in `gompresso-core` decodes all sub-blocks of a block straight
-    /// into one pair of reusable scratch vectors instead of collecting and
-    /// re-copying per-sub-block vectors.
+    /// This is the sequential reference walk behind [`Self::decode_all`] and
+    /// the equivalence suites; the decompressor in `gompresso-core` decodes
+    /// through [`Self::decode_sub_blocks_interleaved`].
     pub fn decode_sub_block_into(
         &self,
         index: usize,
@@ -1156,7 +902,8 @@ mod tests {
         order.reverse();
         let mut parts: Vec<(usize, Vec<Sequence>, Vec<u8>)> = Vec::new();
         for i in order {
-            let (s, l) = bit.decode_sub_block_with(i, &coder(), &lit_dec, &off_dec).unwrap();
+            let (mut s, mut l) = (Vec::new(), Vec::new());
+            bit.decode_sub_block_into(i, &coder(), &lit_dec, &off_dec, &mut s, &mut l).unwrap();
             parts.push((i, s, l));
         }
         parts.sort_by_key(|p| p.0);
@@ -1240,8 +987,12 @@ mod tests {
     fn out_of_range_sub_block_is_rejected() {
         let input = b"some data some data".repeat(10);
         let (_, bit) = encode_input(&input, 16);
+        let lit_dec = DecodeTable::new(&bit.lit_len_code).unwrap();
+        let off_dec = DecodeTable::new(&bit.offset_code).unwrap();
         let n = bit.sub_block_count();
-        assert!(matches!(bit.decode_sub_block(n, &coder()), Err(FormatError::SubBlockOutOfRange { .. })));
+        let result =
+            bit.decode_sub_block_into(n, &coder(), &lit_dec, &off_dec, &mut Vec::new(), &mut Vec::new());
+        assert!(matches!(result, Err(FormatError::SubBlockOutOfRange { .. })));
     }
 
     #[test]

@@ -269,6 +269,52 @@ fn container_salvage_survives_header_checksum_damage() {
     assert_eq!(out, data);
 }
 
+#[test]
+fn stream_salvage_names_the_damaged_frame_in_its_root_cause() {
+    // Byte-mode blocks of noise are one literal run each, so flipping a
+    // frame's last payload byte changes one output byte: the frame still
+    // decodes, and only its content checksum can catch the damage.
+    let mut data = Vec::with_capacity(2200);
+    let mut x = 0x9E37_79B9_7F4A_7C15_u64;
+    while data.len() < 2200 {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        data.push((x >> 24) as u8);
+    }
+    let mut config = CompressorConfig::byte();
+    config.block_size = 512;
+    let mut cursor = Cursor::new(Vec::new());
+    StreamCompressor::new(config).unwrap().compress_seekable(&data[..], &mut cursor).unwrap();
+    let stream = cursor.into_inner();
+    let entries =
+        gompresso::ArchiveReader::open(Cursor::new(stream.clone())).unwrap().index().entries().to_vec();
+    assert!(entries.len() >= 4, "need a multi-block archive");
+
+    for (k, entry) in entries.iter().enumerate().skip(1) {
+        let last_payload_byte = entry.compressed_offset + u64::from(entry.compressed_size) - 1;
+        let damaged = FaultPlan::clean().flip(last_payload_byte, 0).apply_to(&stream);
+        // With the trailer intact salvage takes the exact-offset path;
+        // with its magic flipped too it scans frame by frame. Both must
+        // blame frame k.
+        let no_trailer = FaultPlan::clean().flip(stream.len() as u64 - 2, 0).apply_to(&damaged);
+        for (path, archive) in [("trailer", &damaged), ("scan", &no_trailer)] {
+            let (_, report) =
+                StreamDecompressor::new(DecompressorConfig::default()).salvage_bytes(archive).unwrap();
+            let lost: Vec<_> = report.blocks.iter().filter(|b| !b.status.is_recovered()).collect();
+            assert_eq!(lost.len(), 1, "{path}: one flip must cost one block (frame {k})");
+            let gompresso::BlockStatus::Lost(error) = &lost[0].status else { unreachable!() };
+            assert!(
+                matches!(
+                    error.root_cause(),
+                    GompressoError::BlockChecksumMismatch { block, .. } if *block == k as u64
+                ),
+                "{path}: frame {k} root cause is {error}"
+            );
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Random-access damage locality: a flip in block k fails exactly the
 // ranges that touch block k.
