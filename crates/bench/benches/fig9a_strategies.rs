@@ -1,11 +1,15 @@
-//! Figure 9a: host wall-clock cost of the three back-reference resolution
-//! strategies on Gompresso/Byte files (GPU estimates are produced by the
-//! `experiments` binary; this bench pins down the measured CPU-side cost of
-//! the same code paths).
+//! Figure 9a: host wall-clock cost of simulating the three back-reference
+//! resolution strategies on Gompresso/Byte files (GPU estimates are produced
+//! by the `experiments` binary; this bench pins down the measured CPU-side
+//! cost of the same code paths). The strategy only changes the simulated
+//! warp walk, so the K40 cost model is on; without it every strategy runs
+//! the same execute-only decode.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gompresso_bench::{matrix_data, wikipedia_data};
-use gompresso_core::{compress, decompress_with, CompressorConfig, DecompressorConfig, ResolutionStrategy};
+use gompresso_core::{
+    compress, decompress_with, CompressorConfig, CostModel, DecompressorConfig, ResolutionStrategy,
+};
 
 const SIZE: usize = 4 * 1024 * 1024;
 
@@ -19,7 +23,11 @@ fn bench_strategies(c: &mut Criterion) {
         for strategy in ResolutionStrategy::ALL {
             let file =
                 if strategy == ResolutionStrategy::DependencyEliminated { &de.file } else { &plain.file };
-            let config = DecompressorConfig { strategy: strategy.into(), ..DecompressorConfig::default() };
+            let config = DecompressorConfig {
+                strategy: strategy.into(),
+                cost_model: Some(CostModel::tesla_k40()),
+                ..DecompressorConfig::default()
+            };
             group.bench_with_input(BenchmarkId::new(strategy.short_name(), name), file, |b, file| {
                 b.iter(|| decompress_with(file, &config).unwrap().0.len());
             });

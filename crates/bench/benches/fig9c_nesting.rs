@@ -1,9 +1,12 @@
 //! Figure 9c: MRR decompression cost as a function of the artificial
-//! nesting depth (Figure 10 datasets).
+//! nesting depth (Figure 10 datasets). MRR rounds exist only in the
+//! simulated warp walk, so the K40 cost model is on.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gompresso_bench::nesting_data;
-use gompresso_core::{compress, decompress_with, CompressorConfig, DecompressorConfig, ResolutionStrategy};
+use gompresso_core::{
+    compress, decompress_with, CompressorConfig, CostModel, DecompressorConfig, ResolutionStrategy,
+};
 
 const SIZE: usize = 2 * 1024 * 1024;
 
@@ -15,6 +18,7 @@ fn bench_nesting(c: &mut Criterion) {
         let file = compress(&data, &CompressorConfig::byte()).unwrap();
         let config = DecompressorConfig {
             strategy: ResolutionStrategy::MultiRound.into(),
+            cost_model: Some(CostModel::tesla_k40()),
             ..DecompressorConfig::default()
         };
         group.throughput(Throughput::Bytes(data.len() as u64));

@@ -10,9 +10,33 @@
 use crate::datasets::{matrix_data, nesting_data, wikipedia_data};
 use crate::gbps;
 use gompresso_baselines::{BlockParallel, Codec, Lz4Like, Miniflate, SnappyLike, ZstdLike};
-use gompresso_core::{compress, decompress_with, CompressorConfig, DecompressorConfig, ResolutionStrategy};
+use gompresso_core::{
+    compress, decompress_with, CompressedFile, CompressorConfig, CostModel, DecompressionReport,
+    DecompressorConfig, GpuSimulation, ResolutionStrategy, StrategySelection,
+};
 use gompresso_energy::EnergyModel;
 use std::time::Instant;
+
+/// Decompresses `file` on the simulated K40 (every GPU figure reads the
+/// simulation), returning the output, the report and its simulation.
+fn decompress_on_k40(
+    file: &CompressedFile,
+    strategy: StrategySelection,
+) -> (Vec<u8>, DecompressionReport, GpuSimulation) {
+    let config = DecompressorConfig {
+        strategy,
+        cost_model: Some(CostModel::tesla_k40()),
+        ..DecompressorConfig::default()
+    };
+    let (restored, report) = decompress_with(file, &config).expect("decompression failed");
+    let sim = report.simulation.clone().expect("the K40 cost model was set");
+    (restored, report, sim)
+}
+
+/// An estimated bandwidth of a simulated run, in GB/s.
+fn gpu_gbps(bandwidth: Option<f64>) -> f64 {
+    gbps(bandwidth.expect("the K40 cost model was set"))
+}
 
 /// Section V setup: gzip-class compression ratios of the two datasets.
 #[derive(Debug, Clone)]
@@ -48,7 +72,8 @@ pub struct Fig9aRow {
     pub strategy: String,
     /// Estimated GPU LZ77 decompression speed, device only (GB/s).
     pub gpu_speed_gbps: f64,
-    /// Host (CPU) decompression speed actually measured for this run (GB/s).
+    /// Host (CPU) speed actually measured for this run (GB/s); the run
+    /// simulates, so this includes the warp walk the strategy drives.
     pub host_speed_gbps: f64,
     /// Mean MRR rounds per warp group (1.0 for DE, number of matches for SC).
     pub mean_rounds: f64,
@@ -66,9 +91,8 @@ pub fn fig9a_strategy_comparison(size: usize) -> Vec<Fig9aRow> {
         for strategy in ResolutionStrategy::ALL {
             let file =
                 if strategy == ResolutionStrategy::DependencyEliminated { &de.file } else { &plain.file };
-            let dconf = DecompressorConfig { strategy: strategy.into(), ..DecompressorConfig::default() };
             let start = Instant::now();
-            let (restored, report) = decompress_with(file, &dconf).expect("decompression failed");
+            let (restored, report, sim) = decompress_on_k40(file, strategy.into());
             let host = restored.len() as f64 / start.elapsed().as_secs_f64();
             assert_eq!(restored, data, "round-trip failure in fig9a");
             // Mean resolution rounds per warp group: meaningful for MRR (the
@@ -76,14 +100,14 @@ pub fn fig9a_strategy_comparison(size: usize) -> Vec<Fig9aRow> {
             // and not applicable for SC (every back-reference is its own
             // serial step), reported as 0.
             let mean_rounds = match strategy {
-                ResolutionStrategy::MultiRound => report.mrr.mean_rounds(),
+                ResolutionStrategy::MultiRound => sim.mrr.mean_rounds(),
                 ResolutionStrategy::DependencyEliminated => 1.0,
                 ResolutionStrategy::SequentialCopy => 0.0,
             };
             rows.push(Fig9aRow {
                 dataset: name.to_string(),
                 strategy: strategy.short_name().to_string(),
-                gpu_speed_gbps: gbps(report.gpu_bandwidth_no_pcie()),
+                gpu_speed_gbps: gpu_gbps(report.gpu_bandwidth_no_pcie()),
                 host_speed_gbps: gbps(host),
                 mean_rounds,
             });
@@ -109,16 +133,12 @@ pub fn fig9b_bytes_per_round(size: usize) -> Vec<Fig9bRow> {
     let mut rows = Vec::new();
     for (name, data) in [("wikipedia", wikipedia_data(size)), ("matrix", matrix_data(size))] {
         let file = compress(&data, &CompressorConfig::byte()).expect("compression failed");
-        let dconf = DecompressorConfig {
-            strategy: ResolutionStrategy::MultiRound.into(),
-            ..DecompressorConfig::default()
-        };
-        let (_, report) = decompress_with(&file.file, &dconf).expect("decompression failed");
-        for round in 1..=report.mrr.max_rounds() {
+        let (_, _, sim) = decompress_on_k40(&file.file, ResolutionStrategy::MultiRound.into());
+        for round in 1..=sim.mrr.max_rounds() {
             rows.push(Fig9bRow {
                 dataset: name.to_string(),
                 round,
-                mean_bytes: report.mrr.mean_bytes_in_round(round),
+                mean_bytes: sim.mrr.mean_bytes_in_round(round),
             });
         }
     }
@@ -134,7 +154,8 @@ pub struct Fig9cRow {
     pub mean_rounds: f64,
     /// Estimated GPU decompression time (device only), in milliseconds.
     pub gpu_time_ms: f64,
-    /// Host (CPU) decompression time, in milliseconds.
+    /// Host (CPU) time of this simulated run (decode plus warp walk), in
+    /// milliseconds.
     pub host_time_ms: f64,
 }
 
@@ -146,18 +167,14 @@ pub fn fig9c_nesting_depth(size: usize, depths: &[u32]) -> Vec<Fig9cRow> {
         .map(|&depth| {
             let data = nesting_data(depth, size);
             let file = compress(&data, &CompressorConfig::byte()).expect("compression failed");
-            let dconf = DecompressorConfig {
-                strategy: ResolutionStrategy::MultiRound.into(),
-                ..DecompressorConfig::default()
-            };
             let start = Instant::now();
-            let (restored, report) = decompress_with(&file.file, &dconf).expect("decompression failed");
+            let (restored, _, sim) = decompress_on_k40(&file.file, ResolutionStrategy::MultiRound.into());
             let host_time_ms = start.elapsed().as_secs_f64() * 1e3;
             assert_eq!(restored, data, "round-trip failure in fig9c");
             Fig9cRow {
                 depth,
-                mean_rounds: report.mrr.mean_rounds(),
-                gpu_time_ms: report.gpu.device_only_s() * 1e3,
+                mean_rounds: sim.mrr.mean_rounds(),
+                gpu_time_ms: sim.gpu.device_only_s() * 1e3,
                 host_time_ms,
             }
         })
@@ -217,10 +234,13 @@ pub fn fig12_block_size(size: usize, block_sizes: &[usize]) -> Vec<Fig12Row> {
         .map(|&block_size| {
             let config = CompressorConfig { block_size, ..CompressorConfig::bit_de() };
             let out = compress(&data, &config).expect("compression failed");
-            let (restored, report) =
-                decompress_with(&out.file, &DecompressorConfig::default()).expect("decompression failed");
+            let (restored, report, _) = decompress_on_k40(&out.file, StrategySelection::Planned);
             assert_eq!(restored, data, "round-trip failure in fig12");
-            Fig12Row { block_size, speed_gbps: gbps(report.gpu_bandwidth_in_out()), ratio: out.stats.ratio() }
+            Fig12Row {
+                block_size,
+                speed_gbps: gpu_gbps(report.gpu_bandwidth_in_out()),
+                ratio: out.stats.ratio(),
+            }
         })
         .collect()
 }
@@ -281,41 +301,39 @@ pub fn fig13_speed_vs_ratio(size: usize, dataset: &str) -> Vec<Fig13Row> {
     // Gompresso GPU configurations (estimated on the K40 model).
     let bit = compress(&data, &CompressorConfig::bit_de()).expect("compression failed");
     let byte = compress(&data, &CompressorConfig::byte_de()).expect("compression failed");
-    let (_, bit_report) =
-        decompress_with(&bit.file, &DecompressorConfig::default()).expect("decompression failed");
-    let (_, byte_report) =
-        decompress_with(&byte.file, &DecompressorConfig::default()).expect("decompression failed");
+    let (_, bit_report, bit_sim) = decompress_on_k40(&bit.file, StrategySelection::Planned);
+    let (_, byte_report, byte_sim) = decompress_on_k40(&byte.file, StrategySelection::Planned);
 
     rows.push(Fig13Row {
         system: "Gomp/Bit (In/Out)".to_string(),
         ratio: bit.stats.ratio(),
-        speed_gbps: gbps(bit_report.gpu_bandwidth_in_out()),
+        speed_gbps: gpu_gbps(bit_report.gpu_bandwidth_in_out()),
         is_gpu: true,
-        busy_seconds: bit_report.gpu.device_only_s(),
-        transfer_seconds: bit_report.gpu.input_transfer_s + bit_report.gpu.output_transfer_s,
+        busy_seconds: bit_sim.gpu.device_only_s(),
+        transfer_seconds: bit_sim.gpu.input_transfer_s + bit_sim.gpu.output_transfer_s,
     });
     rows.push(Fig13Row {
         system: "Gomp/Byte (In/Out)".to_string(),
         ratio: byte.stats.ratio(),
-        speed_gbps: gbps(byte_report.gpu_bandwidth_in_out()),
+        speed_gbps: gpu_gbps(byte_report.gpu_bandwidth_in_out()),
         is_gpu: true,
-        busy_seconds: byte_report.gpu.device_only_s(),
-        transfer_seconds: byte_report.gpu.input_transfer_s + byte_report.gpu.output_transfer_s,
+        busy_seconds: byte_sim.gpu.device_only_s(),
+        transfer_seconds: byte_sim.gpu.input_transfer_s + byte_sim.gpu.output_transfer_s,
     });
     rows.push(Fig13Row {
         system: "Gomp/Byte (In)".to_string(),
         ratio: byte.stats.ratio(),
-        speed_gbps: gbps(byte_report.gpu_bandwidth_in()),
+        speed_gbps: gpu_gbps(byte_report.gpu_bandwidth_in()),
         is_gpu: true,
-        busy_seconds: byte_report.gpu.device_only_s(),
-        transfer_seconds: byte_report.gpu.input_transfer_s,
+        busy_seconds: byte_sim.gpu.device_only_s(),
+        transfer_seconds: byte_sim.gpu.input_transfer_s,
     });
     rows.push(Fig13Row {
         system: "Gomp/Byte (No PCIe)".to_string(),
         ratio: byte.stats.ratio(),
-        speed_gbps: gbps(byte_report.gpu_bandwidth_no_pcie()),
+        speed_gbps: gpu_gbps(byte_report.gpu_bandwidth_no_pcie()),
         is_gpu: true,
-        busy_seconds: byte_report.gpu.device_only_s(),
+        busy_seconds: byte_sim.gpu.device_only_s(),
         transfer_seconds: 0.0,
     });
     rows

@@ -14,12 +14,16 @@
 //!   bound of a self-sized stream frame;
 //! * the declared-vs-produced output size check;
 //! * the checksum policy ([`DecompressorConfig::verify_checksums`]);
-//! * the per-worker decode scratch.
+//! * the per-worker decode scratch;
+//! * when the simulated GPU warp observes a block: only for a decoder made
+//!   [`BlockDecoder::simulating`] under a config with a cost model, or for
+//!   the DE check of [`DecompressorConfig::validate_de`]. Execution never
+//!   depends on it.
 
 use crate::decompress::DecompressorConfig;
 use crate::stats::MrrStats;
 use crate::strategy::ResolutionStrategy;
-use crate::warp_lz77::decompress_block_warp;
+use crate::warp_lz77::{simulate_block_warp, WarpDecompressOutcome};
 use crate::{GompressoError, Result};
 use gompresso_bitstream::ByteReader;
 use gompresso_format::{
@@ -27,7 +31,7 @@ use gompresso_format::{
     SubBlockStats,
 };
 use gompresso_huffman::DecodeTable;
-use gompresso_lz77::SequenceBlock;
+use gompresso_lz77::{decompress_block_into, SequenceBlock};
 use gompresso_simt::{Warp, WarpCounters, WARP_SIZE};
 use std::cell::RefCell;
 
@@ -46,9 +50,10 @@ const TOKEN_STREAM_BYTES_PER_SEQ: u64 = 12;
 /// lookups without spilling the round-robin state out of registers.
 const INTERLEAVE_STREAMS: usize = 4;
 
-/// The simulation by-products of one decoded block. The decompressed bytes
-/// land directly in the caller's destination slice.
-pub(crate) struct BlockResult {
+/// What the simulated warps observed while one block decoded. The
+/// decompressed bytes land directly in the caller's destination slice.
+pub(crate) struct BlockSimulation {
+    /// The Huffman-decode kernel's counters (Bit blocks only).
     pub(crate) decode_counters: Option<WarpCounters>,
     pub(crate) lz77_counters: WarpCounters,
     pub(crate) mrr: MrrStats,
@@ -76,11 +81,12 @@ thread_local! {
 pub(crate) struct BlockDecoder {
     config: DecompressorConfig,
     coder: TokenCoder,
+    simulate: bool,
 }
 
 impl BlockDecoder {
-    /// Creates a decoder for an archive with the given token-coding
-    /// parameters (from its header or stream prelude).
+    /// Creates an execute-only decoder for an archive with the given
+    /// token-coding parameters (from its header or stream prelude).
     pub(crate) fn new(
         config: DecompressorConfig,
         min_match_len: u32,
@@ -88,7 +94,13 @@ impl BlockDecoder {
         window_size: u32,
     ) -> Result<Self> {
         let coder = TokenCoder::new(min_match_len, max_match_len, window_size)?;
-        Ok(Self { config, coder })
+        Ok(Self { config, coder, simulate: false })
+    }
+
+    /// Makes [`Self::decode`] also simulate every block on a GPU warp when
+    /// the config carries a cost model.
+    pub(crate) fn simulating(self) -> Self {
+        Self { simulate: self.config.cost_model.is_some(), ..self }
     }
 
     /// The configuration in use.
@@ -167,6 +179,12 @@ impl BlockDecoder {
     /// block's declared uncompressed size, under the block's recorded
     /// config; then, unless checksum verification is off, checks the
     /// stored content checksum (when the archive carries one).
+    ///
+    /// The block's sequences execute first, in the one validating walk, so
+    /// a corrupt block fails with the same error whether or not it is
+    /// simulated. The warp walk then runs over the validated sequences if
+    /// this decoder simulates (its observations are returned) or if the
+    /// block resolves with DE under `validate_de`.
     pub(crate) fn decode(
         &self,
         block: &BlockConfig,
@@ -174,24 +192,24 @@ impl BlockDecoder {
         payload: &[u8],
         checksum: Option<u64>,
         dst: &mut [u8],
-    ) -> Result<BlockResult> {
-        let result = DECODE_SCRATCH.with(|scratch| {
+    ) -> Result<Option<BlockSimulation>> {
+        let simulation = DECODE_SCRATCH.with(|scratch| {
             let mut scratch = scratch.borrow_mut();
             let scratch = &mut *scratch;
             let seq_block = &mut scratch.seq_block;
             let mut r = ByteReader::new(payload);
-            let decode_counters = match block.mode {
+            let decode_warp = match block.mode {
                 EncodingMode::Bit => {
                     let bit = BitBlock::deserialize(&mut r)?;
-                    let warp = decode_bit_block(
+                    decode_bit_block(
                         &bit,
                         &self.coder,
                         payload.len(),
                         seq_block,
                         &mut scratch.interleave,
                         &mut scratch.stats,
-                    )?;
-                    Some(warp.into_counters())
+                        self.simulate,
+                    )?
                 }
                 EncodingMode::Byte => {
                     ByteBlock::deserialize(&mut r)?.decode_into(seq_block)?;
@@ -208,15 +226,20 @@ impl BlockDecoder {
                 });
             }
 
+            decompress_block_into(seq_block, dst)?;
+
             let strategy = self.config.strategy.resolve(block);
-            let outcome = decompress_block_warp(
-                seq_block,
-                strategy,
-                self.config.validate_de && strategy == ResolutionStrategy::DependencyEliminated,
-                index,
-                dst,
-            )?;
-            Ok(BlockResult { decode_counters, lz77_counters: outcome.counters, mrr: outcome.mrr })
+            let check_de = self.config.validate_de && strategy == ResolutionStrategy::DependencyEliminated;
+            if !(self.simulate || check_de) {
+                return Ok(None);
+            }
+            let WarpDecompressOutcome { counters, mrr } =
+                simulate_block_warp(seq_block, strategy, check_de, index)?;
+            Ok(self.simulate.then(|| BlockSimulation {
+                decode_counters: decode_warp.map(Warp::into_counters),
+                lz77_counters: counters,
+                mrr,
+            }))
         })?;
         if let Some(stored) = checksum.filter(|_| self.config.verify_checksums) {
             let computed = gompresso_format::content_checksum(dst);
@@ -224,7 +247,7 @@ impl BlockDecoder {
                 return Err(GompressoError::BlockChecksumMismatch { block: index as u64, stored, computed });
             }
         }
-        Ok(result)
+        Ok(simulation)
     }
 }
 
@@ -243,9 +266,9 @@ fn peek_declared_size(mode: EncodingMode, payload: &[u8]) -> Result<u64> {
 /// The host decode runs [`INTERLEAVE_STREAMS`] sub-block bitstreams
 /// concurrently per worker (round-robined table lookups over independent
 /// cursors — the instruction-level-parallel analogue of one sub-block per
-/// warp lane), while the warp counters are charged per lock-step group of
-/// [`WARP_SIZE`] sub-blocks from the per-sub-block stats, exactly as the
-/// sequential walk charged them.
+/// warp lane). With `simulate`, the returned warp is charged per lock-step
+/// group of [`WARP_SIZE`] sub-blocks from the per-sub-block stats, exactly
+/// as the sequential walk charged them; without it, nothing is charged.
 fn decode_bit_block(
     bit: &BitBlock,
     coder: &TokenCoder,
@@ -253,20 +276,22 @@ fn decode_bit_block(
     seq_block: &mut SequenceBlock,
     interleave: &mut InterleaveScratch,
     stats: &mut Vec<SubBlockStats>,
-) -> Result<Warp> {
-    let mut warp = Warp::new();
+    simulate: bool,
+) -> Result<Option<Warp>> {
+    let mut warp = simulate.then(Warp::new);
 
-    // The compressed block is staged in device memory; reading it is a
-    // coalesced streaming read.
-    warp.global_read(payload_bytes as u64, true);
-
-    // LUT construction into shared memory (charged once per block; on the
-    // GPU the group's threads cooperate on this).
     let lit_len_dec = DecodeTable::new(&bit.lit_len_code)?;
     let offset_dec = DecodeTable::new(&bit.offset_code)?;
-    let lut_bytes = u64::from(lit_len_dec.simulated_shared_bytes() + offset_dec.simulated_shared_bytes());
-    warp.shared_write(lut_bytes);
-    warp.charge_instructions(lut_bytes / 4);
+    if let Some(warp) = &mut warp {
+        // The compressed block is staged in device memory; reading it is a
+        // coalesced streaming read.
+        warp.global_read(payload_bytes as u64, true);
+        // LUT construction into shared memory (charged once per block; on
+        // the GPU the group's threads cooperate on this).
+        let lut_bytes = u64::from(lit_len_dec.simulated_shared_bytes() + offset_dec.simulated_shared_bytes());
+        warp.shared_write(lut_bytes);
+        warp.charge_instructions(lut_bytes / 4);
+    }
 
     let n_sub_blocks = bit.sub_block_count();
     let sequences = &mut seq_block.sequences;
@@ -300,6 +325,7 @@ fn decode_bit_block(
         )?;
         bit_cursor += bit.sub_block_bits[group_start..group_end].iter().map(|&b| u64::from(b)).sum::<u64>();
 
+        let Some(warp) = &mut warp else { continue };
         let mut max_lane_symbols = 0u64;
         let mut group_sequences = 0u64;
         let mut group_shared_reads = 0u64;

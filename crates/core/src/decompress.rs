@@ -17,12 +17,18 @@
 //! paper's Figure 9a sweep). Each block is decoded by the crate's one block
 //! decoder, which the stream, random-access and salvage drivers share.
 //!
-//! The simulated kernels charge instruction, memory and round counters that
-//! the Tesla K40 cost model turns into the GPU time estimates reported in
-//! [`DecompressionReport`].
+//! Host decode executes only. The GPU simulation is an observer that runs
+//! when asked for: with [`DecompressorConfig::cost_model`] set, the
+//! in-memory [`Decompressor`] also walks every block's validated sequences
+//! on a simulated warp, charging the instruction, memory and round counters
+//! that the cost model turns into the GPU time estimates of
+//! [`DecompressionReport::simulation`]. The stream, random-access, salvage
+//! and scan drivers never simulate. A forced [`StrategySelection`] changes
+//! only what the simulator charges and which blocks DE validation checks;
+//! the decompressed bytes are the same under every strategy.
 
 use crate::block_decoder::BlockDecoder;
-use crate::stats::{DecompressionReport, MrrStats};
+use crate::stats::{DecompressionReport, GpuSimulation, MrrStats};
 use crate::strategy::StrategySelection;
 use crate::{GompressoError, Result};
 use gompresso_format::CompressedFile;
@@ -40,8 +46,11 @@ pub struct DecompressorConfig {
     /// and fail with [`GompressoError::DependencyEliminationViolated`] if
     /// the block was not compressed with Dependency Elimination.
     pub validate_de: bool,
-    /// GPU device / PCIe model used for the time estimates.
-    pub cost_model: CostModel,
+    /// GPU device / PCIe model for the time estimates. `None` (the
+    /// default) decodes without simulating; `Some` makes
+    /// [`Decompressor::decompress`] simulate every block and report the
+    /// estimate. Only the in-memory decompressor reads it.
+    pub cost_model: Option<CostModel>,
     /// Hard ceiling on the decompressed output size the decompressor will
     /// allocate (default 4 GiB). Together with the per-block payload
     /// plausibility bound this keeps a crafted header from requesting an
@@ -60,7 +69,7 @@ impl Default for DecompressorConfig {
         DecompressorConfig {
             strategy: StrategySelection::Planned,
             validate_de: false,
-            cost_model: CostModel::tesla_k40(),
+            cost_model: None,
             max_output_size: 4 << 30,
             verify_checksums: true,
         }
@@ -74,7 +83,7 @@ pub struct Decompressor {
 }
 
 /// Decompresses `file` with the default configuration (per-block planned
-/// strategies, K40 cost model).
+/// strategies, no GPU simulation).
 pub fn decompress(file: &CompressedFile) -> Result<(Vec<u8>, DecompressionReport)> {
     Decompressor::new(DecompressorConfig::default()).decompress(file)
 }
@@ -99,7 +108,8 @@ impl Decompressor {
     }
 
     /// Decompresses an in-memory Gompresso file, returning the original data
-    /// and a full report (counters, MRR statistics, GPU time estimates).
+    /// and a report; the report carries the GPU simulation (counters, MRR
+    /// statistics, time estimates) when the config sets a cost model.
     ///
     /// The output buffer is allocated exactly once; every worker writes its
     /// blocks' bytes directly into the block's disjoint slice of that
@@ -114,7 +124,8 @@ impl Decompressor {
             header.min_match_len,
             header.max_match_len,
             header.window_size,
-        )?;
+        )?
+        .simulating();
 
         // Before allocating `uncompressed_size` bytes, bound the header's
         // claim: the total must not exceed the configured output ceiling,
@@ -154,35 +165,34 @@ impl Decompressor {
             })
             .collect();
 
-        let mut decode_counters = KernelCounters::new();
-        let mut lz77_counters = KernelCounters::new();
-        let mut mrr = MrrStats::default();
-        for result in results {
-            let block = result?;
-            if let Some(decode) = &block.decode_counters {
-                decode_counters.add_warp(decode);
-            }
-            lz77_counters.add_warp(&block.lz77_counters);
-            mrr.merge(&block.mrr);
-        }
-
+        let blocks = results.into_iter().collect::<Result<Vec<_>>>()?;
         let compressed_size = file.compressed_size() as u64;
-        let gpu = DecompressionReport::estimate(
-            &self.config.cost_model,
-            &decode_counters,
-            &lz77_counters,
-            header.max_codeword_len(),
-            compressed_size,
-            header.uncompressed_size,
-        );
+        let simulation = self.config.cost_model.as_ref().map(|cost| {
+            let mut decode_counters = KernelCounters::new();
+            let mut lz77_counters = KernelCounters::new();
+            let mut mrr = MrrStats::default();
+            for block in blocks.iter().flatten() {
+                if let Some(decode) = &block.decode_counters {
+                    decode_counters.add_warp(decode);
+                }
+                lz77_counters.add_warp(&block.lz77_counters);
+                mrr.merge(&block.mrr);
+            }
+            let gpu = DecompressionReport::estimate(
+                cost,
+                &decode_counters,
+                &lz77_counters,
+                header.max_codeword_len(),
+                compressed_size,
+                header.uncompressed_size,
+            );
+            GpuSimulation { decode_counters, lz77_counters, mrr, gpu }
+        });
         let report = DecompressionReport {
             uncompressed_size: header.uncompressed_size,
             compressed_size,
             wall_seconds: start.elapsed().as_secs_f64(),
-            decode_counters,
-            lz77_counters,
-            mrr,
-            gpu,
+            simulation,
         };
         Ok((output, report))
     }
@@ -240,23 +250,47 @@ mod tests {
         c
     }
 
+    /// The default config plus the K40 cost model, for tests that read the
+    /// GPU simulation.
+    fn simulated() -> DecompressorConfig {
+        DecompressorConfig { cost_model: Some(CostModel::tesla_k40()), ..DecompressorConfig::default() }
+    }
+
+    #[test]
+    fn only_a_cost_model_makes_decode_simulate() {
+        let data = wiki_like(100_000);
+        let out = compress(&data, &cfg_small(CompressorConfig::bit_de())).unwrap();
+        let (plain, report) = decompress(&out.file).unwrap();
+        assert!(report.simulation.is_none());
+        assert_eq!(report.gpu_bandwidth_no_pcie(), None);
+        assert_eq!(report.gpu_bandwidth_in(), None);
+        assert_eq!(report.gpu_bandwidth_in_out(), None);
+
+        let (simulated_bytes, report) = decompress_with(&out.file, &simulated()).unwrap();
+        assert_eq!(simulated_bytes, plain);
+        let sim = report.simulation.as_ref().expect("a cost model was set");
+        assert_eq!(sim.lz77_counters.warps as usize, out.file.blocks.len());
+        assert!(report.gpu_bandwidth_no_pcie().is_some_and(|bw| bw > 0.0));
+    }
+
     #[test]
     fn bit_mode_roundtrip_with_all_strategies() {
         let data = wiki_like(300_000);
         let out = compress(&data, &cfg_small(CompressorConfig::bit_de())).unwrap();
         for strategy in ResolutionStrategy::ALL {
-            let config = DecompressorConfig { strategy: strategy.into(), ..DecompressorConfig::default() };
+            let config = DecompressorConfig { strategy: strategy.into(), ..simulated() };
             let (restored, report) = decompress_with(&out.file, &config).unwrap();
             assert_eq!(restored, data, "strategy {strategy}");
             assert_eq!(report.uncompressed_size, data.len() as u64);
             assert!(report.compressed_size > 0);
             assert!(report.wall_seconds > 0.0);
+            let sim = report.simulation.expect("a cost model was set");
             // Bit mode runs a decode kernel on every block.
-            assert_eq!(report.decode_counters.warps as usize, out.file.blocks.len());
-            assert_eq!(report.lz77_counters.warps as usize, out.file.blocks.len());
-            assert!(report.gpu.decode_kernel_s > 0.0);
-            assert!(report.gpu.lz77_kernel_s > 0.0);
-            assert!(report.gpu.with_io_s() > report.gpu.device_only_s());
+            assert_eq!(sim.decode_counters.warps as usize, out.file.blocks.len());
+            assert_eq!(sim.lz77_counters.warps as usize, out.file.blocks.len());
+            assert!(sim.gpu.decode_kernel_s > 0.0);
+            assert!(sim.gpu.lz77_kernel_s > 0.0);
+            assert!(sim.gpu.with_io_s() > sim.gpu.device_only_s());
         }
     }
 
@@ -264,12 +298,13 @@ mod tests {
     fn byte_mode_roundtrip_and_fused_kernel() {
         let data = wiki_like(200_000);
         let out = compress(&data, &cfg_small(CompressorConfig::byte_de())).unwrap();
-        let (restored, report) = decompress(&out.file).unwrap();
+        let (restored, report) = decompress_with(&out.file, &simulated()).unwrap();
         assert_eq!(restored, data);
+        let sim = report.simulation.expect("a cost model was set");
         // Byte mode has no separate Huffman decode kernel.
-        assert_eq!(report.decode_counters.warps, 0);
-        assert_eq!(report.gpu.decode_kernel_s, 0.0);
-        assert!(report.gpu.lz77_kernel_s > 0.0);
+        assert_eq!(sim.decode_counters.warps, 0);
+        assert_eq!(sim.gpu.decode_kernel_s, 0.0);
+        assert!(sim.gpu.lz77_kernel_s > 0.0);
     }
 
     #[test]
@@ -293,44 +328,45 @@ mod tests {
         let de_file = compress(&data, &cfg_small(CompressorConfig::byte_de())).unwrap();
         let plain_file = compress(&data, &cfg_small(CompressorConfig::byte())).unwrap();
 
+        // DE validation needs no simulator: the config sets no cost model.
         let config = DecompressorConfig {
             strategy: ResolutionStrategy::DependencyEliminated.into(),
             validate_de: true,
             ..DecompressorConfig::default()
         };
-        let (restored, _) = decompress_with(&de_file.file, &config).unwrap();
+        assert!(config.cost_model.is_none());
+        let (restored, report) = decompress_with(&de_file.file, &config).unwrap();
         assert_eq!(restored, data);
+        assert!(report.simulation.is_none());
 
         // The non-DE file contains same-warp nesting on this input and must
-        // be rejected when DE is forced with validation...
-        let err = decompress_with(&plain_file.file, &config);
-        // Per-block failures carry block context; the root cause is the DE
-        // violation.
-        assert!(matches!(
-            err.as_ref().map_err(|e| e.root_cause()),
-            Err(GompressoError::DependencyEliminationViolated { .. })
-        ));
+        // be rejected when DE is forced with validation, with or without a
+        // cost model...
+        for config in [config.clone(), DecompressorConfig { cost_model: simulated().cost_model, ..config }] {
+            let err = decompress_with(&plain_file.file, &config);
+            // Per-block failures carry block context; the root cause is the
+            // DE violation.
+            assert!(matches!(
+                err.as_ref().map_err(|e| e.root_cause()),
+                Err(GompressoError::DependencyEliminationViolated { .. })
+            ));
+        }
         // ...but decompresses fine with MRR.
-        let mrr = DecompressorConfig {
-            strategy: ResolutionStrategy::MultiRound.into(),
-            ..DecompressorConfig::default()
-        };
+        let mrr = DecompressorConfig { strategy: ResolutionStrategy::MultiRound.into(), ..simulated() };
         let (restored, report) = decompress_with(&plain_file.file, &mrr).unwrap();
         assert_eq!(restored, data);
-        assert!(report.mrr.total_groups > 0);
-        assert!(report.mrr.mean_rounds() >= 1.0);
+        let sim = report.simulation.expect("a cost model was set");
+        assert!(sim.mrr.total_groups > 0);
+        assert!(sim.mrr.mean_rounds() >= 1.0);
     }
 
     #[test]
     fn mrr_round_statistics_decrease_per_round() {
         let data = wiki_like(400_000);
         let out = compress(&data, &cfg_small(CompressorConfig::bit())).unwrap();
-        let config = DecompressorConfig {
-            strategy: ResolutionStrategy::MultiRound.into(),
-            ..DecompressorConfig::default()
-        };
+        let config = DecompressorConfig { strategy: ResolutionStrategy::MultiRound.into(), ..simulated() };
         let (_, report) = decompress_with(&out.file, &config).unwrap();
-        let stats = &report.mrr;
+        let stats = &report.simulation.expect("a cost model was set").mrr;
         assert!(stats.total_groups > 0);
         assert!(!stats.bytes_per_round.is_empty());
         // Figure 9b: the bulk of the bytes resolve in round 1.
@@ -343,9 +379,9 @@ mod tests {
         let out = compress(&data, &cfg_small(CompressorConfig::byte_de())).unwrap();
         let mut estimates = Vec::new();
         for strategy in ResolutionStrategy::ALL {
-            let config = DecompressorConfig { strategy: strategy.into(), ..DecompressorConfig::default() };
+            let config = DecompressorConfig { strategy: strategy.into(), ..simulated() };
             let (_, report) = decompress_with(&out.file, &config).unwrap();
-            estimates.push((strategy, report.gpu.device_only_s()));
+            estimates.push((strategy, report.simulation.expect("a cost model was set").gpu.device_only_s()));
         }
         let sc = estimates[0].1;
         let mrr = estimates[1].1;
@@ -517,10 +553,10 @@ mod tests {
     #[test]
     fn empty_file_decompresses_to_empty_output() {
         let out = compress(&[], &CompressorConfig::bit()).unwrap();
-        let (restored, report) = decompress(&out.file).unwrap();
+        let (restored, report) = decompress_with(&out.file, &simulated()).unwrap();
         assert!(restored.is_empty());
         assert_eq!(report.uncompressed_size, 0);
-        assert_eq!(report.gpu.device_only_s(), 0.0);
+        assert_eq!(report.simulation.expect("a cost model was set").gpu.device_only_s(), 0.0);
     }
 
     #[test]
@@ -534,8 +570,10 @@ mod tests {
         let large =
             compress(&data, &CompressorConfig { block_size: 256 * 1024, ..CompressorConfig::bit_de() })
                 .unwrap();
-        let (_, small_report) = decompress(&small.file).unwrap();
-        let (_, large_report) = decompress(&large.file).unwrap();
+        let (_, small_report) = decompress_with(&small.file, &simulated()).unwrap();
+        let (_, large_report) = decompress_with(&large.file, &simulated()).unwrap();
+        let small_report = small_report.simulation.expect("a cost model was set");
+        let large_report = large_report.simulation.expect("a cost model was set");
         // Allow a modest tolerance: this corpus is far more compressible
         // than the paper's, so per-block effects (LUT amortisation vs
         // sub-block parallelism) sit within measurement slack of each
@@ -561,9 +599,9 @@ mod tests {
     fn gpu_estimate_reflects_pcie_ceiling_for_byte_mode() {
         let data = wiki_like(1 << 20);
         let out = compress(&data, &CompressorConfig::byte_de()).unwrap();
-        let (_, report) = decompress(&out.file).unwrap();
-        let no_pcie = report.gpu_bandwidth_no_pcie();
-        let in_out = report.gpu_bandwidth_in_out();
+        let (_, report) = decompress_with(&out.file, &simulated()).unwrap();
+        let no_pcie = report.gpu_bandwidth_no_pcie().expect("a cost model was set");
+        let in_out = report.gpu_bandwidth_in_out().expect("a cost model was set");
         // Adding transfers can only slow things down, and the end-to-end
         // bandwidth cannot exceed the PCIe link's sustained bandwidth.
         assert!(in_out < no_pcie);

@@ -155,6 +155,20 @@ impl GpuEstimate {
     }
 }
 
+/// What the simulated K40 warps observed while a file decoded, and the GPU
+/// times the cost model derives from it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GpuSimulation {
+    /// Counters of the (simulated) Huffman-decoding kernel.
+    pub decode_counters: KernelCounters,
+    /// Counters of the (simulated) LZ77 decompression kernel.
+    pub lz77_counters: KernelCounters,
+    /// MRR round statistics (empty unless the MRR strategy ran).
+    pub mrr: MrrStats,
+    /// Estimated GPU kernel and transfer times.
+    pub gpu: GpuEstimate,
+}
+
 /// Full report returned by the decompressor.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecompressionReport {
@@ -164,14 +178,9 @@ pub struct DecompressionReport {
     pub compressed_size: u64,
     /// Wall-clock decompression time on the host CPU in seconds.
     pub wall_seconds: f64,
-    /// Counters of the (simulated) Huffman-decoding kernel.
-    pub decode_counters: KernelCounters,
-    /// Counters of the (simulated) LZ77 decompression kernel.
-    pub lz77_counters: KernelCounters,
-    /// MRR round statistics (empty unless the MRR strategy ran).
-    pub mrr: MrrStats,
-    /// Estimated GPU kernel and transfer times.
-    pub gpu: GpuEstimate,
+    /// The GPU simulation of this run: `Some` only when the decompressor
+    /// was configured with a cost model, so an estimate is never made up.
+    pub simulation: Option<GpuSimulation>,
 }
 
 impl DecompressionReport {
@@ -210,19 +219,24 @@ impl DecompressionReport {
         }
     }
 
-    /// Estimated GPU decompression bandwidth without PCIe transfers.
-    pub fn gpu_bandwidth_no_pcie(&self) -> f64 {
-        GpuEstimate::bandwidth(self.uncompressed_size, self.gpu.device_only_s())
+    /// Estimated GPU decompression bandwidth without PCIe transfers (`None`
+    /// without a simulation).
+    pub fn gpu_bandwidth_no_pcie(&self) -> Option<f64> {
+        self.gpu_bandwidth(GpuEstimate::device_only_s)
     }
 
     /// Estimated GPU bandwidth including the input transfer only.
-    pub fn gpu_bandwidth_in(&self) -> f64 {
-        GpuEstimate::bandwidth(self.uncompressed_size, self.gpu.with_input_s())
+    pub fn gpu_bandwidth_in(&self) -> Option<f64> {
+        self.gpu_bandwidth(GpuEstimate::with_input_s)
     }
 
     /// Estimated GPU bandwidth including both transfers.
-    pub fn gpu_bandwidth_in_out(&self) -> f64 {
-        GpuEstimate::bandwidth(self.uncompressed_size, self.gpu.with_io_s())
+    pub fn gpu_bandwidth_in_out(&self) -> Option<f64> {
+        self.gpu_bandwidth(GpuEstimate::with_io_s)
+    }
+
+    fn gpu_bandwidth(&self, seconds: fn(&GpuEstimate) -> f64) -> Option<f64> {
+        self.simulation.as_ref().map(|sim| GpuEstimate::bandwidth(self.uncompressed_size, seconds(&sim.gpu)))
     }
 
     /// Host (CPU) decompression bandwidth actually measured for this run.

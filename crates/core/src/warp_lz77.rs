@@ -19,15 +19,20 @@
 //! to the [`Warp`] counters so the GPU cost model can translate the run into
 //! an estimated Tesla K40 kernel time.
 //!
-//! Simulation and byte movement are decoupled: the warp walk charges
-//! counters and validates every sequence (group by group, exactly as
-//! before), but writes nothing; once the whole block has validated, a
-//! single sequential pass executes the sequences with the wide-copy kernels
-//! of `gompresso-lz77` (8/16-byte chunks, wild overshoot confined to the
-//! block's disjoint output slice). The decompressed bytes are identical —
-//! LZ77 execution is deterministic regardless of resolution order — and the
-//! counters, being pure functions of the sequence metadata, are
-//! byte-for-byte what the copying simulation charged.
+//! The simulator observes the host codec; it is not a stage of it. Host
+//! decode executes a block's sequences once, with the wide-copy kernels of
+//! `gompresso-lz77` (8/16-byte chunks, wild overshoot confined to the
+//! block's disjoint output slice), and that walk is the one validator.
+//! Only when the caller asks for a GPU estimate (a cost model in
+//! [`crate::DecompressorConfig`]) or for DE validation does the warp walk
+//! run over the already-validated sequences, charging counters and moving
+//! no bytes. The counters are pure functions of the sequence metadata, so
+//! they are byte-for-byte what a copying simulation would charge, and the
+//! resolution strategy changes only the counters and the DE check — LZ77
+//! execution is deterministic regardless of resolution order.
+//!
+//! [`decompress_block_warp`] keeps the walk-then-execute order as one call
+//! for callers that time the simulator on its own.
 
 use crate::stats::MrrStats;
 use crate::strategy::ResolutionStrategy;
@@ -110,14 +115,27 @@ pub fn decompress_block_warp(
             produced: output.len() as u64,
         });
     }
+    let outcome = simulate_block_warp(block, strategy, validate_de, block_index)?;
+    decompress_block_into(block, output)?;
+    Ok(outcome)
+}
+
+/// The warp walk on its own: charges the counters one simulated warp spends
+/// resolving `block` with `strategy` and moves no bytes. It performs the
+/// same structural checks as `decompress_block_into`, group by group, so
+/// it is safe on unvalidated sequences; host decode runs it only after the
+/// block has executed. `validate_de` is as for [`decompress_block_warp`].
+pub(crate) fn simulate_block_warp(
+    block: &SequenceBlock,
+    strategy: ResolutionStrategy,
+    validate_de: bool,
+    block_index: usize,
+) -> Result<WarpDecompressOutcome> {
     let mut warp = Warp::new();
     let mut mrr = MrrStats::default();
     let mut out_cursor = 0u64;
     let mut literal_cursor = 0u64;
 
-    // Pass 1 — simulate and validate. The group walk charges exactly the
-    // counters the copying implementation charged and performs the same
-    // structural checks in the same order, but moves no bytes.
     for (group_idx, group) in block.sequences.chunks(WARP_SIZE).enumerate() {
         let lanes = prepare_group(&mut warp, block, group, group_idx, out_cursor, literal_cursor)?;
         let active = group.len();
@@ -153,13 +171,6 @@ pub fn decompress_block_warp(
             produced: out_cursor,
         });
     }
-
-    // Pass 2 — execute. The sequential wide-copy walk revalidates the same
-    // conditions pass 1 just proved (its per-sequence checks are O(1), the
-    // copies dominate), so an error here is unreachable; `?` keeps it an
-    // error rather than a panic should the two walks ever disagree.
-    decompress_block_into(block, output)?;
-
     Ok(WarpDecompressOutcome { counters: warp.into_counters(), mrr })
 }
 
@@ -186,23 +197,21 @@ fn prepare_group(
         output_lens[lane] = u64::from(seq.literal_len) + u64::from(seq.match_len);
     }
 
-    // Prefix sum 1: literal source offsets within the token stream (the
-    // warp charges the sum; the host walk no longer needs the per-lane
-    // source cursors since the bytes move in the sequential pass).
-    let (_literal_prefix, literal_total) = warp.exclusive_prefix_sum(&literal_lens);
+    // Prefix sum 1: literal source offsets within the token stream.
+    let (literal_prefix, _literal_total) = warp.exclusive_prefix_sum(&literal_lens);
     // Prefix sum 2: output write offsets.
     let (output_prefix, _output_total) = warp.exclusive_prefix_sum(&output_lens);
 
-    if literal_cursor + literal_total > block.literals.len() as u64 {
-        return Err(GompressoError::Lz77(Lz77Error::LiteralOverrun {
-            sequence: group_idx * WARP_SIZE,
-            requested: (literal_cursor + literal_total) as usize,
-            available: block.literals.len(),
-        }));
-    }
-
     let mut lanes = [LaneState::default(); WARP_SIZE];
     for (lane, seq) in group.iter().enumerate() {
+        let literal_end = literal_cursor + literal_prefix[lane] + literal_lens[lane];
+        if literal_end > block.literals.len() as u64 {
+            return Err(GompressoError::Lz77(Lz77Error::LiteralOverrun {
+                sequence: group_idx * WARP_SIZE + lane,
+                requested: literal_end as usize,
+                available: block.literals.len(),
+            }));
+        }
         let out_start = out_cursor + output_prefix[lane];
         let state = LaneState {
             literal_len: u64::from(seq.literal_len),
@@ -236,7 +245,8 @@ fn prepare_group(
     Ok(lanes)
 }
 
-/// Step (b): charge each lane's literal copy (the bytes move in pass 2).
+/// Step (b): charge each lane's literal copy (the host execute pass moves
+/// the bytes).
 fn charge_literal_copies(warp: &mut Warp, lanes: &[LaneState; WARP_SIZE], active: usize) {
     let total_bytes: u64 = lanes[..active].iter().map(|l| l.literal_len).sum();
     if total_bytes == 0 {
@@ -598,6 +608,26 @@ mod tests {
             run_warp(&bad, ResolutionStrategy::SequentialCopy, false, 0),
             Err(GompressoError::OutputSizeMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn literal_overrun_names_the_overrunning_sequence_on_both_paths() {
+        // Sequences 0..=4 take one literal each; sequence 5, inside the
+        // first warp group, asks for four of the two that remain.
+        let mut sequences = vec![Sequence::literals_only(1); 5];
+        sequences.push(Sequence::literals_only(4));
+        sequences.extend([Sequence::literals_only(1); 3]);
+        let bad = SequenceBlock { sequences, literals: vec![b'a'; 7], uncompressed_len: 12 };
+        let expected = Lz77Error::LiteralOverrun { sequence: 5, requested: 9, available: 7 };
+
+        let mut output = vec![0u8; bad.uncompressed_len];
+        assert_eq!(decompress_block_into(&bad, &mut output), Err(expected.clone()));
+        for strategy in ResolutionStrategy::ALL {
+            match run_warp(&bad, strategy, false, 0) {
+                Err(GompressoError::Lz77(e)) => assert_eq!(e, expected, "strategy {strategy}"),
+                other => panic!("expected a literal overrun at sequence 5, got {other:?}"),
+            }
+        }
     }
 
     #[test]

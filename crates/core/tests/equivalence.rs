@@ -14,7 +14,7 @@
 use gompresso_bitstream::{BitReader, ByteReader};
 use gompresso_core::warp_lz77::decompress_block_warp;
 use gompresso_core::{
-    compress, decompress_with, CompressedFile, CompressorConfig, DecompressorConfig, EncodingMode,
+    compress, decompress_with, CompressedFile, CompressorConfig, CostModel, DecompressorConfig, EncodingMode,
     ResolutionStrategy,
 };
 use gompresso_format::token_code::{TokenCoder, END_OF_SEQUENCES, FIRST_LENGTH_SYMBOL};
@@ -165,7 +165,7 @@ fn reference_decompress(
     }
 
     let gpu = gompresso_core::DecompressionReport::estimate(
-        &config.cost_model,
+        config.cost_model.as_ref().expect("the reference simulates under a cost model"),
         &decode_counters,
         &lz77_counters,
         header.max_codeword_len(),
@@ -206,9 +206,13 @@ proptest! {
         for cconf in configs {
             let out = compress(&input, &small_blocks(cconf)).expect("compression failed");
             for strategy in ResolutionStrategy::ALL {
-                let dconf =
-                    DecompressorConfig { strategy: strategy.into(), ..DecompressorConfig::default() };
+                let dconf = DecompressorConfig {
+                    strategy: strategy.into(),
+                    cost_model: Some(CostModel::tesla_k40()),
+                    ..DecompressorConfig::default()
+                };
                 let (fast_bytes, report) = decompress_with(&out.file, &dconf).expect("fast decompress");
+                let report = report.simulation.expect("a cost model was set");
                 let (ref_bytes, ref_decode, ref_lz77, ref_gpu) = reference_decompress(&out.file, &dconf);
 
                 prop_assert_eq!(&fast_bytes, &input, "fast path lost bytes ({})", strategy);

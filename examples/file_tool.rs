@@ -100,12 +100,11 @@ fn cmd_decompress(input: &str, output: &str, strategy: &str) {
     });
     fs::write(output, &data).expect("cannot write output");
     println!(
-        "{input}: {} bytes restored with {} in {:.1} ms (host {:.2} GB/s, simulated K40 {:.2} GB/s incl. PCIe)",
+        "{input}: {} bytes restored with {} in {:.1} ms (host {:.2} GB/s)",
         data.len(),
         strategy.describe(),
         report.wall_seconds * 1e3,
         report.host_bandwidth() / 1e9,
-        report.gpu_bandwidth_in_out() / 1e9
     );
 }
 

@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use gompresso::datasets::{DatasetGenerator, WikipediaGenerator};
-use gompresso::{compress, decompress, CompressorConfig};
+use gompresso::{compress, decompress_with, CompressorConfig, CostModel, DecompressorConfig};
 
 fn main() {
     // 8 MiB of synthetic Wikipedia-style XML (the paper's first dataset).
@@ -25,8 +25,13 @@ fn main() {
         compressed.stats.wall_seconds * 1e3,
     );
 
-    let (restored, report) = decompress(&compressed.file).expect("decompression failed");
+    // A cost model asks the decompressor to also simulate every block on a
+    // Tesla K40 warp; without one, decode executes only and reports no
+    // estimate.
+    let decompressor = DecompressorConfig { cost_model: Some(CostModel::tesla_k40()), ..Default::default() };
+    let (restored, report) = decompress_with(&compressed.file, &decompressor).expect("decompression failed");
     assert_eq!(restored, data, "round trip must be lossless");
+    let sim = report.simulation.as_ref().expect("a cost model was set");
 
     println!(
         "decompressed on the host in {:.1} ms ({:.2} GB/s across {} rayon threads)",
@@ -36,13 +41,13 @@ fn main() {
     );
     println!(
         "simulated Tesla K40: decode kernel {:.2} ms + LZ77 kernel {:.2} ms + PCIe {:.2} ms",
-        report.gpu.decode_kernel_s * 1e3,
-        report.gpu.lz77_kernel_s * 1e3,
-        (report.gpu.input_transfer_s + report.gpu.output_transfer_s) * 1e3,
+        sim.gpu.decode_kernel_s * 1e3,
+        sim.gpu.lz77_kernel_s * 1e3,
+        (sim.gpu.input_transfer_s + sim.gpu.output_transfer_s) * 1e3,
     );
     println!(
         "estimated GPU decompression speed: {:.1} GB/s (device only), {:.1} GB/s (with PCIe in/out)",
-        report.gpu_bandwidth_no_pcie() / 1e9,
-        report.gpu_bandwidth_in_out() / 1e9,
+        report.gpu_bandwidth_no_pcie().expect("a cost model was set") / 1e9,
+        report.gpu_bandwidth_in_out().expect("a cost model was set") / 1e9,
     );
 }

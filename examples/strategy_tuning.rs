@@ -6,11 +6,32 @@
 
 use gompresso::datasets::{DatasetGenerator, NestingGenerator, WikipediaGenerator};
 use gompresso::{
-    compress, decompress_with, CompressedOutput, CompressorConfig, DecompressorConfig, EncodingMode,
-    ResolutionStrategy, StrategySelection,
+    compress, decompress_with, CompressedFile, CompressedOutput, CompressorConfig, CostModel,
+    DecompressionReport, DecompressorConfig, EncodingMode, GpuSimulation, ResolutionStrategy,
+    StrategySelection,
 };
 
 const SIZE: usize = 4 * 1024 * 1024;
+
+/// Decompresses `file` on the simulated Tesla K40, asserting the output is
+/// `expected`. Every figure below is an estimate, so the cost model is on.
+fn simulate(
+    file: &CompressedFile,
+    strategy: StrategySelection,
+    expected: &[u8],
+) -> (DecompressionReport, GpuSimulation) {
+    let config =
+        DecompressorConfig { strategy, cost_model: Some(CostModel::tesla_k40()), ..Default::default() };
+    let (out, report) = decompress_with(file, &config).expect("decompress");
+    assert_eq!(out, expected);
+    let sim = report.simulation.clone().expect("a cost model was set");
+    (report, sim)
+}
+
+/// Estimated GB/s of a simulated run.
+fn gbps(bandwidth: Option<f64>) -> f64 {
+    bandwidth.expect("a cost model was set") / 1e9
+}
 
 /// Per-block plan histogram of a compressed file: how many blocks landed on
 /// each (mode, strategy, DE) combination.
@@ -37,16 +58,11 @@ fn main() {
     for depth in [1u32, 2, 4, 8, 16, 32] {
         let data = NestingGenerator::new(depth).generate(SIZE);
         let file = compress(&data, &CompressorConfig::byte()).expect("compress");
-        let config = DecompressorConfig {
-            strategy: StrategySelection::Force(ResolutionStrategy::MultiRound),
-            ..Default::default()
-        };
-        let (out, report) = decompress_with(&file.file, &config).expect("decompress");
-        assert_eq!(out, data);
+        let (_, sim) = simulate(&file.file, StrategySelection::Force(ResolutionStrategy::MultiRound), &data);
         println!(
             "   {depth:>5}   {:>15.2}   {:>10.2} ms",
-            report.mrr.mean_rounds(),
-            report.gpu.device_only_s() * 1e3
+            sim.mrr.mean_rounds(),
+            sim.gpu.device_only_s() * 1e3
         );
     }
 
@@ -65,13 +81,11 @@ fn main() {
         ("MRR on plain file", &plain.file, ResolutionStrategy::MultiRound),
         ("DE  on DE file   ", &de.file, ResolutionStrategy::DependencyEliminated),
     ] {
-        let config = DecompressorConfig { strategy: strategy.into(), ..Default::default() };
-        let (out, report) = decompress_with(file, &config).expect("decompress");
-        assert_eq!(out, data);
+        let (report, sim) = simulate(file, strategy.into(), &data);
         println!(
             "   {label}: est. GPU {:.2} GB/s (device only), warp utilization {:.0} %",
-            report.gpu_bandwidth_no_pcie() / 1e9,
-            report.lz77_counters.totals.warp_utilization() * 100.0
+            gbps(report.gpu_bandwidth_no_pcie()),
+            sim.lz77_counters.totals.warp_utilization() * 100.0
         );
     }
 
@@ -80,14 +94,12 @@ fn main() {
     for block_kb in [32usize, 64, 128, 256] {
         let config = CompressorConfig { block_size: block_kb * 1024, ..CompressorConfig::bit_de() };
         let out = compress(&data, &config).expect("compress");
-        let (restored, report) =
-            decompress_with(&out.file, &DecompressorConfig::default()).expect("decompress");
-        assert_eq!(restored, data);
+        let (report, _) = simulate(&out.file, StrategySelection::Planned, &data);
         println!(
             "   {block_kb:>4} KB  {:>6.3}   {:>13.3}   {:>8.2}",
             out.stats.ratio(),
             out.stats.speed_bytes_per_sec() / 1e9,
-            report.gpu_bandwidth_in_out() / 1e9
+            gbps(report.gpu_bandwidth_in_out())
         );
     }
 
@@ -114,14 +126,12 @@ fn main() {
         ("auto  ", CompressorConfig::auto()),
     ] {
         let out = compress(&mixed, &config).expect("compress");
-        let (restored, report) =
-            decompress_with(&out.file, &DecompressorConfig::default()).expect("decompress");
-        assert_eq!(restored, mixed);
+        let (report, _) = simulate(&out.file, StrategySelection::Planned, &mixed);
         println!(
             "   {label}   {:>6.3}   {:>13.3}   {:>8.2}",
             out.stats.ratio(),
             out.stats.speed_bytes_per_sec() / 1e9,
-            report.gpu_bandwidth_in_out() / 1e9
+            gbps(report.gpu_bandwidth_in_out())
         );
         results.push((label, out));
     }

@@ -6,14 +6,19 @@
 //! reproduction maps onto the ICPP 2016 paper.
 //!
 //! ```
-//! use gompresso::{compress, decompress, CompressorConfig};
+//! use gompresso::{compress, decompress, decompress_with, CompressorConfig, CostModel, DecompressorConfig};
 //!
 //! let data = b"compress me, decompress me, massively in parallel ".repeat(64);
 //! let out = compress(&data, &CompressorConfig::bit_de()).unwrap();
 //! let (restored, report) = decompress(&out.file).unwrap();
 //! assert_eq!(restored, data);
+//! assert!(report.simulation.is_none()); // host decode executes only
+//!
+//! // A cost model asks for the simulated Tesla K40 estimate.
+//! let k40 = DecompressorConfig { cost_model: Some(CostModel::tesla_k40()), ..Default::default() };
+//! let (_, report) = decompress_with(&out.file, &k40).unwrap();
 //! println!("ratio {:.2}, est. GPU speed {:.1} GB/s",
-//!          out.stats.ratio(), report.gpu_bandwidth_no_pcie() / 1e9);
+//!          out.stats.ratio(), report.gpu_bandwidth_no_pcie().unwrap() / 1e9);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -25,9 +30,9 @@ pub use gompresso_core::{
     ArchiveFormat, ArchiveReader, BlockConfig, BlockEntry, BlockFeedback, BlockIndex, BlockPlan, BlockRecord,
     BlockStatus, CompressedFile, CompressedOutput, CompressionStats, Compressor, CompressorConfig, CostModel,
     DecompressionReport, Decompressor, DecompressorConfig, EncodingMode, FaultPlan, FaultReader, FaultWriter,
-    FileSettings, GompressoError, GpuDeviceModel, GpuEstimate, MrrStats, PcieLink, Planner, PlanningMode,
-    RecoveryReport, ResolutionStrategy, ScanOptions, ScanStats, StaticPlanner, StrategySelection,
-    StreamCompressor, StreamDecompressor, StreamStats,
+    FileSettings, GompressoError, GpuDeviceModel, GpuEstimate, GpuSimulation, MrrStats, PcieLink, Planner,
+    PlanningMode, RecoveryReport, ResolutionStrategy, ScanOptions, ScanStats, StaticPlanner,
+    StrategySelection, StreamCompressor, StreamDecompressor, StreamStats,
 };
 
 /// Low-level building blocks re-exported for advanced users (custom codecs,

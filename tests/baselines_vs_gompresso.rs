@@ -4,7 +4,7 @@
 use gompresso::baselines::{BlockParallel, Codec, Lz4Like, Miniflate, SnappyLike, ZstdLike};
 use gompresso::datasets::{DatasetGenerator, WikipediaGenerator};
 use gompresso::energy::EnergyModel;
-use gompresso::{compress, CompressorConfig};
+use gompresso::{compress, CompressorConfig, CostModel, DecompressorConfig};
 
 const SIZE: usize = 2 * 1024 * 1024;
 
@@ -71,8 +71,14 @@ fn byte_level_codecs_trade_ratio_for_speed() {
         byte.stats.ratio()
     );
 
-    let (_, bit_report) = gompresso::decompress(&bit.file).unwrap();
-    let (_, byte_report) = gompresso::decompress(&byte.file).unwrap();
+    let simulated =
+        DecompressorConfig { cost_model: Some(CostModel::tesla_k40()), ..DecompressorConfig::default() };
+    let simulation = |file| {
+        let (_, report) = gompresso::decompress_with(file, &simulated).unwrap();
+        report.simulation.expect("a cost model was set")
+    };
+    let bit_report = simulation(&bit.file);
+    let byte_report = simulation(&byte.file);
     assert!(
         byte_report.gpu.device_only_s() < bit_report.gpu.device_only_s(),
         "byte mode should be faster on the device: {} vs {}",

@@ -12,8 +12,8 @@
 //! ([`FaultPlan::random_flips`]); both are fully deterministic.
 
 use gompresso::{
-    compress, decompress, decompress_salvage, CompressedFile, CompressorConfig, DecompressorConfig,
-    FaultPlan, FaultReader, GompressoError, StreamCompressor, StreamDecompressor,
+    compress, decompress, decompress_salvage, decompress_with, CompressedFile, CompressorConfig, CostModel,
+    DecompressorConfig, FaultPlan, FaultReader, GompressoError, StreamCompressor, StreamDecompressor,
 };
 use std::io::Cursor;
 use std::path::Path;
@@ -59,6 +59,13 @@ fn stream_archive(data: &[u8]) -> Vec<u8> {
 fn container_decode(bytes: &[u8]) -> Result<Vec<u8>, GompressoError> {
     let file = CompressedFile::deserialize(bytes).map_err(GompressoError::Format)?;
     decompress(&file).map(|(out, _)| out)
+}
+
+/// Container decode under an explicit config (e.g. with the GPU simulation
+/// on).
+fn container_decode_with(bytes: &[u8], config: &DecompressorConfig) -> Result<Vec<u8>, GompressoError> {
+    let file = CompressedFile::deserialize(bytes).map_err(GompressoError::Format)?;
+    decompress_with(&file, config).map(|(out, _)| out)
 }
 
 fn stream_decode(bytes: &[u8]) -> Result<Vec<u8>, GompressoError> {
@@ -112,6 +119,44 @@ fn exhaustive_bit_flips_on_container_are_never_silently_wrong() {
     // flipping them changes nothing. The contract only demands that such
     // flips yield byte-identical output — which the match above asserted.
     assert!(benign < detected / 10, "suspiciously many benign flips ({benign} vs {detected} detected)");
+}
+
+/// The GPU simulator only observes host decode: for every single-bit flip
+/// of the container, decoding with a cost model returns exactly what the
+/// default (execute-only) decode returns — the same bytes, or the same
+/// corruption error.
+#[test]
+fn exhaustive_bit_flips_decode_the_same_with_and_without_simulation() {
+    let data = test_input();
+    let archive = container_archive(&data);
+    let plain = DecompressorConfig::default();
+    let simulated =
+        DecompressorConfig { cost_model: Some(CostModel::tesla_k40()), ..DecompressorConfig::default() };
+    assert!(plain.cost_model.is_none());
+    let mut detected = 0u64;
+    for offset in 0..archive.len() {
+        for bit in 0..8 {
+            let damaged = FaultPlan::clean().flip(offset as u64, bit).apply_to(&archive);
+            match (container_decode_with(&damaged, &plain), container_decode_with(&damaged, &simulated)) {
+                (Ok(a), Ok(b)) => assert_eq!(a, b, "flip of bit {bit} at byte {offset}: outputs differ"),
+                (Err(a), Err(b)) => {
+                    assert!(
+                        a.is_corruption() && b.is_corruption(),
+                        "flip of bit {bit} at byte {offset}: {a} / {b}"
+                    );
+                    assert_eq!(
+                        std::mem::discriminant(a.root_cause()),
+                        std::mem::discriminant(b.root_cause()),
+                        "flip of bit {bit} at byte {offset}: root causes differ: {a} / {b}"
+                    );
+                    assert_eq!(a, b, "flip of bit {bit} at byte {offset}: errors differ");
+                    detected += 1;
+                }
+                (a, b) => panic!("flip of bit {bit} at byte {offset}: execute-only {a:?} vs simulated {b:?}"),
+            }
+        }
+    }
+    assert!(detected > 0, "the sweep never tripped a check");
 }
 
 #[test]

@@ -3,11 +3,20 @@
 
 use gompresso::datasets::{DatasetGenerator, MatrixMarketGenerator, NestingGenerator, WikipediaGenerator};
 use gompresso::{
-    compress, decompress, decompress_with, CompressedFile, CompressorConfig, DecompressorConfig,
-    EncodingMode, ResolutionStrategy, StreamCompressor, StreamDecompressor,
+    compress, decompress, decompress_with, CompressedFile, CompressorConfig, CostModel, DecompressorConfig,
+    EncodingMode, GpuSimulation, ResolutionStrategy, StreamCompressor, StreamDecompressor,
 };
 
 const SIZE: usize = 2 * 1024 * 1024;
+
+/// Decompresses `file` with `config` plus the K40 cost model, asserting the
+/// output is `expected`, and returns the GPU simulation.
+fn simulate(file: &CompressedFile, config: DecompressorConfig, expected: &[u8]) -> GpuSimulation {
+    let config = DecompressorConfig { cost_model: Some(CostModel::tesla_k40()), ..config };
+    let (restored, report) = decompress_with(file, &config).unwrap();
+    assert_eq!(restored, expected);
+    report.simulation.expect("a cost model was set")
+}
 
 fn all_datasets() -> Vec<(&'static str, Vec<u8>)> {
     vec![
@@ -72,8 +81,7 @@ fn de_strategy_on_de_file_is_validated_and_single_round() {
         validate_de: true,
         ..DecompressorConfig::default()
     };
-    let (restored, report) = decompress_with(&out.file, &config).unwrap();
-    assert_eq!(restored, data);
+    let report = simulate(&out.file, config, &data);
     // One resolution round per warp group at most (each block rounds its
     // final partial group up, hence the per-block slack).
     let rounds: u64 = report.lz77_counters.totals.rounds;
@@ -88,7 +96,7 @@ fn gpu_estimates_rank_strategies_like_the_paper() {
     let de = compress(&data, &CompressorConfig::byte_de()).unwrap();
     let time = |file, strategy: ResolutionStrategy| {
         let config = DecompressorConfig { strategy: strategy.into(), ..DecompressorConfig::default() };
-        let (_, report) = decompress_with(file, &config).unwrap();
+        let report = simulate(file, config, &data);
         report.gpu.device_only_s()
     };
     let sc = time(&plain.file, ResolutionStrategy::SequentialCopy);
@@ -109,8 +117,7 @@ fn deeper_nesting_costs_more_mrr_rounds() {
             strategy: ResolutionStrategy::MultiRound.into(),
             ..DecompressorConfig::default()
         };
-        let (restored, report) = decompress_with(&out.file, &config).unwrap();
-        assert_eq!(restored, data);
+        let report = simulate(&out.file, config, data);
         report.mrr.mean_rounds()
     };
     let shallow_rounds = rounds(&shallow);
