@@ -208,33 +208,45 @@ impl<'a> BitReader<'a> {
     }
 
     /// Loads input into the accumulator until it holds at least 56 bits or
-    /// the stream is exhausted.
-    ///
-    /// The hot path loads eight bytes with one unaligned little-endian word
-    /// read and advances by however many whole bytes fit, instead of looping
-    /// byte by byte. The bytes that were loaded but not yet counted into
-    /// `nbits` occupy the accumulator's high bits with their true stream
-    /// values; re-ORing them on the next refill is idempotent, and every
-    /// consumer masks reads to the requested width, so the extra bits are
-    /// never observable. Near the end of the stream the byte loop preserves
-    /// the zero-fill-past-EOF semantics that `peek_bits` documents.
+    /// the stream is exhausted (see [`refill_bits`]).
     #[inline]
     fn fill(&mut self) {
-        if self.nbits >= 56 {
-            return;
-        }
-        if let Some(chunk) = self.data.get(self.next_byte..self.next_byte + 8) {
-            let word = u64::from_le_bytes(chunk.try_into().expect("slice of length 8"));
-            self.acc |= word << self.nbits;
-            let loaded_bytes = (63 - self.nbits) >> 3;
-            self.next_byte += loaded_bytes as usize;
-            self.nbits += loaded_bytes * 8;
-        } else {
-            while self.nbits <= 56 && self.next_byte < self.data.len() {
-                self.acc |= u64::from(self.data[self.next_byte]) << self.nbits;
-                self.next_byte += 1;
-                self.nbits += 8;
-            }
+        refill_bits(self.data, &mut self.next_byte, &mut self.acc, &mut self.nbits);
+    }
+}
+
+/// Tops a bit accumulator over `data` up to at least 56 buffered bits, or
+/// to the end of `data`, whichever comes first: `acc` holds `nbits`
+/// not-yet-consumed bits LSB-first and `next_byte` is the next byte to
+/// load. This is [`BitReader`]'s refill, for decoders that keep the three
+/// in locals; `nbits` must be at most 64.
+///
+/// The hot path loads eight bytes with one unaligned little-endian word
+/// read and advances by however many whole bytes fit, instead of looping
+/// byte by byte. The bytes that were loaded but not yet counted into
+/// `nbits` occupy the accumulator's high bits with their true stream
+/// values; re-ORing them on the next refill is idempotent, and every
+/// consumer masks reads to the requested width, so the extra bits are
+/// never observable. Near the end of the stream a byte loop preserves the
+/// zero-fill-past-EOF semantics that [`BitReader::peek_bits`] documents,
+/// so a refill that leaves fewer than 56 bits has loaded the whole rest of
+/// `data`.
+#[inline(always)]
+pub fn refill_bits(data: &[u8], next_byte: &mut usize, acc: &mut u64, nbits: &mut u32) {
+    if *nbits >= 56 {
+        return;
+    }
+    if let Some(chunk) = data.get(*next_byte..*next_byte + 8) {
+        let word = u64::from_le_bytes(chunk.try_into().expect("slice of length 8"));
+        *acc |= word << *nbits;
+        let loaded_bytes = (63 - *nbits) >> 3;
+        *next_byte += loaded_bytes as usize;
+        *nbits += loaded_bytes * 8;
+    } else {
+        while *nbits <= 56 && *next_byte < data.len() {
+            *acc |= u64::from(data[*next_byte]) << *nbits;
+            *next_byte += 1;
+            *nbits += 8;
         }
     }
 }
@@ -436,8 +448,8 @@ mod tests {
 
     #[test]
     fn multiple_cursors_over_one_slice_are_independent() {
-        // The interleaved sub-block decoder keeps several readers live over
-        // the same backing slice; advancing one must not disturb another.
+        // Several readers can be live over the same backing slice (one per
+        // sub-block); advancing one must not disturb another.
         let bytes = written(&[(0xABC, 12), (0x5A5, 12), (0x30F, 12)]);
         let mut a = BitReader::at_bit_offset(&bytes, 0).unwrap();
         let mut b = BitReader::at_bit_offset(&bytes, 12).unwrap();

@@ -27,7 +27,7 @@ pub mod bytewriter;
 pub mod error;
 pub mod varint;
 
-pub use bitreader::BitReader;
+pub use bitreader::{refill_bits, BitReader};
 pub use bitwriter::BitWriter;
 pub use bytereader::ByteReader;
 pub use bytewriter::ByteWriter;

@@ -12,6 +12,8 @@
 //!   expand to, checked before any output buffer is sized from a claim;
 //! * the exact-size bound of a header-indexed block and the `block_size`
 //!   bound of a self-sized stream frame;
+//! * the cap on a Bit payload's code widths (each sizes a decode table of
+//!   2^width entries) at the block's recorded CWL;
 //! * the declared-vs-produced output size check;
 //! * the checksum policy ([`DecompressorConfig::verify_checksums`]);
 //! * the per-worker decode scratch;
@@ -44,12 +46,6 @@ const SUB_BLOCK_OVERHEAD_INSTR: u64 = 24;
 /// token stream that the LZ77 kernel later consumes).
 const TOKEN_STREAM_BYTES_PER_SEQ: u64 = 12;
 
-/// Interleaved bitstream cursors a worker keeps live while Huffman-decoding
-/// a block's sub-blocks — the CPU stand-in for one-sub-block-per-lane. Four
-/// independent decode chains cover the L1 load-to-use latency of the table
-/// lookups without spilling the round-robin state out of registers.
-const INTERLEAVE_STREAMS: usize = 4;
-
 /// What the simulated warps observed while one block decoded. The
 /// decompressed bytes land directly in the caller's destination slice.
 pub(crate) struct BlockSimulation {
@@ -60,11 +56,11 @@ pub(crate) struct BlockSimulation {
 }
 
 /// Per-worker decode scratch: the block-level sequence/literal buffers, the
-/// interleaved-decode lane staging and the per-sub-block stats vector.
+/// cached token tables and the per-sub-block stats vector.
 #[derive(Default)]
 struct DecodeScratch {
     seq_block: SequenceBlock,
-    interleave: InterleaveScratch,
+    tokens: InterleaveScratch,
     stats: Vec<SubBlockStats>,
 }
 
@@ -201,12 +197,24 @@ impl BlockDecoder {
             let decode_warp = match block.mode {
                 EncodingMode::Bit => {
                     let bit = BitBlock::deserialize(&mut r)?;
+                    // Each code sizes a decode LUT of 2^max_len entries. The
+                    // encoder writes codes exactly as wide as the block's
+                    // recorded CWL, so a wider one is corrupt or crafted and
+                    // is refused before any table is allocated.
+                    for code in [&bit.lit_len_code, &bit.offset_code] {
+                        if code.max_len() > block.max_codeword_len {
+                            return Err(GompressoError::Format(FormatError::InvalidHeaderField {
+                                field: "code_max_len",
+                                value: u64::from(code.max_len()),
+                            }));
+                        }
+                    }
                     decode_bit_block(
                         &bit,
                         &self.coder,
                         payload.len(),
                         seq_block,
-                        &mut scratch.interleave,
+                        &mut scratch.tokens,
                         &mut scratch.stats,
                         self.simulate,
                     )?
@@ -263,18 +271,17 @@ fn peek_declared_size(mode: EncodingMode, payload: &[u8]) -> Result<u64> {
 /// Parallel Huffman decoding of one block: each lane of the simulated warp
 /// decodes one sub-block using the block's two shared decode LUTs.
 ///
-/// The host decode runs [`INTERLEAVE_STREAMS`] sub-block bitstreams
-/// concurrently per worker (round-robined table lookups over independent
-/// cursors — the instruction-level-parallel analogue of one sub-block per
-/// warp lane). With `simulate`, the returned warp is charged per lock-step
-/// group of [`WARP_SIZE`] sub-blocks from the per-sub-block stats, exactly
-/// as the sequential walk charged them; without it, nothing is charged.
+/// The host decodes the sub-blocks one after another with a single cursor,
+/// straight into the block buffers. With `simulate`, the returned warp is
+/// charged per lock-step group of [`WARP_SIZE`] sub-blocks from the
+/// per-sub-block stats, one sub-block per lane; without it, nothing is
+/// charged.
 fn decode_bit_block(
     bit: &BitBlock,
     coder: &TokenCoder,
     payload_bytes: usize,
     seq_block: &mut SequenceBlock,
-    interleave: &mut InterleaveScratch,
+    tokens: &mut InterleaveScratch,
     stats: &mut Vec<SubBlockStats>,
     simulate: bool,
 ) -> Result<Option<Warp>> {
@@ -302,23 +309,22 @@ fn decode_bit_block(
     literals.reserve((bit.uncompressed_len as usize).min(bit.bitstream.len().saturating_mul(8)));
     seq_block.uncompressed_len = bit.uncompressed_len as usize;
 
-    // Lanes process sub-blocks 32 at a time in lock step; within a group
-    // the interleaved decoder drains them in chunks of INTERLEAVE_STREAMS,
-    // appending into the block-level scratch buffers in sub-block order.
+    // Lanes process sub-blocks 32 at a time in lock step; the host decodes
+    // each group in sub-block order into the block-level scratch buffers.
     // The bit cursor advances incrementally so seeking each sub-block is
     // O(1) instead of a per-sub-block prefix sum.
     let mut bit_cursor = 0u64;
     for group_start in (0..n_sub_blocks).step_by(WARP_SIZE) {
         let group_end = (group_start + WARP_SIZE).min(n_sub_blocks);
         stats.clear();
-        bit.decode_sub_blocks_interleaved::<INTERLEAVE_STREAMS>(
+        bit.decode_sub_blocks_interleaved::<1>(
             group_start,
             group_end - group_start,
             bit_cursor,
             coder,
             &lit_len_dec,
             &offset_dec,
-            interleave,
+            tokens,
             sequences,
             literals,
             stats,

@@ -10,8 +10,12 @@
 
 use crate::token_code::{TokenCoder, TokenEncodeTables, TokenTables, END_OF_SEQUENCES, FIRST_LENGTH_SYMBOL};
 use crate::{FormatError, Result};
-use gompresso_bitstream::{read_varint, write_varint, BitReader, BitWriter, ByteReader, ByteWriter};
-use gompresso_huffman::{CanonicalCode, DecodeTable, EncodeTable, Histogram, PairTable, StripeCounters};
+use gompresso_bitstream::{
+    read_varint, refill_bits, write_varint, BitReader, BitWriter, ByteReader, ByteWriter,
+};
+use gompresso_huffman::{
+    CanonicalCode, DecodeTable, EncodeTable, Histogram, HuffmanError, PairTable, StripeCounters,
+};
 use gompresso_lz77::{Sequence, SequenceBlock};
 
 /// Literal bytes a block must contain before rebuilding the 64 K-entry
@@ -475,21 +479,26 @@ impl BitBlock {
         Ok(())
     }
 
-    /// Decodes `count` consecutive sub-blocks starting at `first` with `S`
-    /// interleaved bitstream cursors, appending sequences and literals to
-    /// the caller's buffers *in sub-block order* and pushing one
-    /// [`SubBlockStats`] per sub-block.
+    /// Decodes `count` consecutive sub-blocks starting at `first`, appending
+    /// their sequences and literals to the caller's buffers in sub-block
+    /// order and pushing one [`SubBlockStats`] per sub-block.
     ///
-    /// This is the CPU analogue of the paper's one-sub-block-per-lane
-    /// parallel Huffman decode (Section III-B-1): each sub-block owns an
-    /// independent bitstream, so a worker keeps `S` [`BitReader`] cursors
-    /// live and round-robins one symbol decode across them per iteration.
-    /// The `S` table lookups per round have no data dependencies on each
-    /// other, so the out-of-order core overlaps their load-to-use latencies
-    /// — the ILP that a one-sub-block-at-a-time walk leaves on the table.
-    /// Lanes stage into `scratch` and drain in order after each chunk of
-    /// `S` sub-blocks, so the output is byte-identical to the sequential
-    /// walk.
+    /// This is the host side of the paper's one-sub-block-per-lane Huffman
+    /// decode (Section III-B-1): every sub-block starts at its own recorded
+    /// bit offset, and one cursor walks them in order, decoding straight
+    /// into `sequences`/`literals`. The cursor — bit accumulator, bit count
+    /// and byte position — lives in locals of this call, and match tails
+    /// resolve through the token tables cached in `scratch`. Every refill
+    /// tops the accumulator up to at least 56 bits, more than any one
+    /// codeword (≤ 24 bits) plus its extra bits (≤ 28) needs; only within a
+    /// word of the stream end, where fewer real bits remain than a read
+    /// wants, does a read go through the checked [`BitReader`] path. Output
+    /// and errors are therefore exactly those of
+    /// [`Self::decode_sub_block_into`] run over the same sub-blocks.
+    ///
+    /// `S` is unused. It once set how many sub-blocks were decoded
+    /// interleaved; a single cursor measured faster on the host, and the
+    /// parameter stays only for callers that still name it.
     ///
     /// `first_bit_offset` must be the absolute bit offset of sub-block
     /// `first` (callers decode groups in order and track it incrementally,
@@ -509,7 +518,6 @@ impl BitBlock {
         literals: &mut Vec<u8>,
         stats: &mut Vec<SubBlockStats>,
     ) -> Result<()> {
-        assert!(S >= 1, "at least one interleaved stream");
         if count == 0 {
             return Ok(());
         }
@@ -524,63 +532,51 @@ impl BitBlock {
             self.sub_block_bit_offset(first)?,
             "caller-tracked bit cursor out of sync"
         );
-        if scratch.lanes.len() < S {
-            scratch.lanes.resize_with(S, LaneStaging::default);
-        }
         scratch.ensure_tokens(coder);
-        let InterleaveScratch { lanes: lane_staging, tokens } = scratch;
-        let tables = &tokens.as_ref().expect("ensure_tokens populated the cache").1;
-        let cap_bits = self.bitstream.len().saturating_mul(8);
+        let tables = &scratch.tokens.as_ref().expect("ensure_tokens populated the cache").1;
+        let data = self.bitstream.as_slice();
         let mut next_bit = first_bit_offset;
-        let mut cursors: Vec<LaneCursor<'_>> = Vec::with_capacity(S);
 
-        let mut idx = first;
-        let end = first + count;
-        while idx < end {
-            let chunk = S.min(end - idx);
-            cursors.clear();
-            let mut active = 0usize;
-            for (lane, staging) in lane_staging.iter_mut().enumerate().take(chunk) {
-                let sub = idx + lane;
-                let n_seq = self.sub_block_sequences(sub)?;
-                staging.sequences.clear();
-                staging.literals.clear();
-                staging.sequences.reserve((n_seq as usize).min(cap_bits));
-                let r = BitReader::at_bit_offset(&self.bitstream, next_bit)?;
-                next_bit += u64::from(self.sub_block_bits[sub]);
-                cursors.push(LaneCursor { r, remaining: n_seq, literal_len: 0, matches: 0 });
-                if n_seq > 0 {
-                    active += 1;
-                }
-            }
-            // Round-robin: each live lane runs one *turn* per pass — one
-            // accumulator refill, then as many symbol decodes as the cached
-            // bits cover (roughly four to five codewords). Turns from
-            // different lanes have no data dependencies on each other, so
-            // their table lookups overlap in the out-of-order window, while
-            // the per-turn batching keeps the rotation overhead amortized.
-            while active > 0 {
-                for (lane, cur) in cursors.iter_mut().enumerate() {
-                    if cur.remaining == 0 {
-                        continue;
+        for sub in first..first + count {
+            let n_seq = self.sub_block_sequences(sub)?;
+            let (mut pos, mut acc, mut nbits) = seek(data, next_bit)?;
+            next_bit += u64::from(self.sub_block_bits[sub]);
+            let literals_before = literals.len();
+            let mut matches = 0u32;
+            for _ in 0..n_seq {
+                // The literal run, up to the EOS or match-length symbol that
+                // ends the sequence.
+                let run_start = literals.len();
+                let sym = loop {
+                    let sym = decode_symbol(lit_len_dec, data, &mut pos, &mut acc, &mut nbits)?;
+                    if sym >= END_OF_SEQUENCES {
+                        break sym;
                     }
-                    cur.run_turn(&mut lane_staging[lane], tables, lit_len_dec, offset_dec)?;
-                    if cur.remaining == 0 {
-                        active -= 1;
-                    }
+                    literals.push(sym as u8);
+                };
+                let literal_len = (literals.len() - run_start) as u32;
+                if sym == END_OF_SEQUENCES {
+                    sequences.push(Sequence { literal_len, match_offset: 0, match_len: 0 });
+                    continue;
                 }
+                let (len_base, len_bits) = tables.length_entry(sym)?;
+                let len_extra = take_bits(data, &mut pos, &mut acc, &mut nbits, u32::from(len_bits))?;
+                let match_len = tables.check_length(len_base + len_extra)?;
+                // One refill covers the offset codeword and its extra bits
+                // together (at most 24 + 28 = 52 bits).
+                refill_bits(data, &mut pos, &mut acc, &mut nbits);
+                let off_sym = decode_symbol(offset_dec, data, &mut pos, &mut acc, &mut nbits)?;
+                let (off_base, off_bits) = tables.offset_entry(off_sym)?;
+                let off_extra = take_bits(data, &mut pos, &mut acc, &mut nbits, u32::from(off_bits))?;
+                let match_offset = tables.check_offset(off_base + off_extra)?;
+                matches += 1;
+                sequences.push(Sequence { literal_len, match_offset, match_len });
             }
-            for (lane, cur) in cursors.iter().enumerate() {
-                let staging = &lane_staging[lane];
-                sequences.extend_from_slice(&staging.sequences);
-                literals.extend_from_slice(&staging.literals);
-                stats.push(SubBlockStats {
-                    sequences: staging.sequences.len() as u32,
-                    matches: cur.matches,
-                    literals: staging.literals.len() as u32,
-                });
-            }
-            idx += chunk;
+            stats.push(SubBlockStats {
+                sequences: n_seq,
+                matches,
+                literals: (literals.len() - literals_before) as u32,
+            });
         }
         Ok(())
     }
@@ -706,19 +702,12 @@ impl SubBlockStats {
     }
 }
 
-/// Reusable per-lane staging buffers for
-/// [`BitBlock::decode_sub_blocks_interleaved`].
-///
-/// Interleaved lanes decode concurrently but must land in the output in
-/// sub-block order, so each lane stages into its own pair of buffers and
-/// the driver drains them in order after every chunk. A per-worker scratch
-/// keeps steady-state decoding allocation-free once the buffers have grown
-/// to the largest sub-block a worker has seen.
+/// Reusable per-worker state for
+/// [`BitBlock::decode_sub_blocks_interleaved`]: the flat token tables,
+/// cached per coder so steady-state decoding rebuilds them only when the
+/// file's coding parameters change.
 #[derive(Debug, Clone, Default)]
 pub struct InterleaveScratch {
-    lanes: Vec<LaneStaging>,
-    /// Flat token tables, cached per coder so steady-state decoding rebuilds
-    /// them only when the file's coding parameters change.
     tokens: Option<(TokenCoder, TokenTables)>,
 }
 
@@ -732,119 +721,85 @@ impl InterleaveScratch {
     }
 }
 
-#[derive(Debug, Clone, Default)]
-struct LaneStaging {
-    sequences: Vec<Sequence>,
-    literals: Vec<u8>,
-}
-
-/// One live decoding stream of the interleaved walk: a bit cursor plus the
-/// in-flight sequence state (literal run length so far, sequences left).
-struct LaneCursor<'a> {
-    r: BitReader<'a>,
-    remaining: u32,
-    literal_len: u32,
-    matches: u32,
-}
-
-/// Reads `bits` extra bits, preferring the already-cached accumulator bits
-/// and falling back to the checked read near the stream tail.
-#[inline]
-fn read_extra(r: &mut BitReader<'_>, bits: u8) -> Result<u32> {
-    let bits = u32::from(bits);
-    if bits == 0 {
-        return Ok(0);
+/// Positions a decode cursor at absolute bit `bit` of `data`: returns the
+/// byte position, accumulator and bit count, refilled. An offset past the
+/// end reports the same error as [`BitReader::at_bit_offset`].
+fn seek(data: &[u8], bit: u64) -> Result<(usize, u64, u32)> {
+    if bit > data.len() as u64 * 8 {
+        BitReader::at_bit_offset(data, bit)?;
     }
-    if r.cached_bits() >= bits {
-        let v = r.peek_cached(bits);
-        r.consume_peeked(bits);
-        Ok(v)
-    } else {
-        r.read_bits(bits).map_err(Into::into)
-    }
+    let mut pos = (bit / 8) as usize;
+    let (mut acc, mut nbits) = (0u64, 0u32);
+    refill_bits(data, &mut pos, &mut acc, &mut nbits);
+    // An in-range, unaligned offset loaded at least its own byte.
+    let skip = (bit % 8) as u32;
+    acc >>= skip;
+    nbits -= skip;
+    Ok((pos, acc, nbits))
 }
 
-impl LaneCursor<'_> {
-    /// Runs one interleaved turn: refills the accumulator once, then decodes
-    /// symbols against the cached bits until the accumulator runs low (the
-    /// next turn refills), the sub-block completes, or the stream tail is
-    /// reached (per-symbol checked decoding takes over there so EOF and
-    /// truncation surface exactly like the sequential walk).
-    #[inline]
-    fn run_turn(
-        &mut self,
-        staging: &mut LaneStaging,
-        tables: &TokenTables,
-        lit_len_dec: &DecodeTable,
-        offset_dec: &DecodeTable,
-    ) -> Result<()> {
-        let width = u32::from(lit_len_dec.index_bits());
-        self.r.refill();
-        while self.remaining > 0 {
-            if self.r.cached_bits() < width {
-                if self.r.remaining_bits() >= u64::from(width) {
-                    // Mid-stream, accumulator low: yield the turn.
-                    return Ok(());
-                }
-                // Stream tail: checked decode (zero-filled window, precise
-                // EOF reporting).
-                let sym = lit_len_dec.decode(&mut self.r)?;
-                if sym < END_OF_SEQUENCES {
-                    staging.literals.push(sym as u8);
-                    self.literal_len += 1;
-                } else {
-                    self.finish_symbol(sym, staging, tables, offset_dec)?;
-                }
-                continue;
-            }
-            let sym = lit_len_dec.decode_cached(&mut self.r)?;
-            if sym < END_OF_SEQUENCES {
-                staging.literals.push(sym as u8);
-                self.literal_len += 1;
-                continue;
-            }
-            self.finish_symbol(sym, staging, tables, offset_dec)?;
+/// Decodes one codeword: straight from the accumulator while it holds a
+/// full table window of real bits, else — at the stream tail — through the
+/// checked [`DecodeTable::decode`].
+#[inline(always)]
+fn decode_symbol(
+    dec: &DecodeTable,
+    data: &[u8],
+    pos: &mut usize,
+    acc: &mut u64,
+    nbits: &mut u32,
+) -> Result<u16> {
+    let width = u32::from(dec.index_bits());
+    if *nbits < width {
+        refill_bits(data, pos, acc, nbits);
+        if *nbits < width {
+            return checked_read(data, pos, acc, nbits, |r| Ok(dec.decode(r)?));
         }
-        Ok(())
     }
+    let window = (*acc & ((1u64 << width) - 1)) as u32;
+    let entry = dec.lookup_packed(window);
+    let len = entry & 0xFF;
+    if len == 0 {
+        return Err(HuffmanError::InvalidCodeword { bits: window }.into());
+    }
+    *acc >>= len;
+    *nbits -= len;
+    Ok((entry >> 8) as u16)
+}
 
-    /// Completes the sequence the symbol `sym` (EOS or a match-length
-    /// symbol) terminates: for a match, decodes the tail — length extra
-    /// bits, offset codeword, offset extra bits — through the flat token
-    /// tables, refilling once so the whole tail usually comes from cached
-    /// bits.
-    #[inline]
-    fn finish_symbol(
-        &mut self,
-        sym: u16,
-        staging: &mut LaneStaging,
-        tables: &TokenTables,
-        offset_dec: &DecodeTable,
-    ) -> Result<()> {
-        let (match_offset, match_len) = if sym == END_OF_SEQUENCES {
-            (0u32, 0u32)
-        } else {
-            debug_assert!(sym >= FIRST_LENGTH_SYMBOL);
-            let (len_base, len_bits) = tables.length_entry(sym)?;
-            self.r.refill();
-            let len_extra = read_extra(&mut self.r, len_bits)?;
-            let match_len = tables.check_length(len_base + len_extra)?;
-            let off_sym = if self.r.cached_bits() >= u32::from(offset_dec.index_bits()) {
-                offset_dec.decode_cached(&mut self.r)?
-            } else {
-                offset_dec.decode(&mut self.r)?
-            };
-            let (off_base, off_bits) = tables.offset_entry(off_sym)?;
-            let off_extra = read_extra(&mut self.r, off_bits)?;
-            let match_offset = tables.check_offset(off_base + off_extra)?;
-            self.matches += 1;
-            (match_offset, match_len)
-        };
-        staging.sequences.push(Sequence { literal_len: self.literal_len, match_offset, match_len });
-        self.literal_len = 0;
-        self.remaining -= 1;
-        Ok(())
+/// Reads `width` (≤ 32) verbatim extra bits: from the accumulator when it
+/// holds them, else — at the stream tail — through the checked
+/// [`BitReader::read_bits`].
+#[inline(always)]
+fn take_bits(data: &[u8], pos: &mut usize, acc: &mut u64, nbits: &mut u32, width: u32) -> Result<u32> {
+    if *nbits < width {
+        refill_bits(data, pos, acc, nbits);
+        if *nbits < width {
+            return checked_read(data, pos, acc, nbits, |r| Ok(r.read_bits(width)?));
+        }
     }
+    let value = (*acc & ((1u64 << width) - 1)) as u32;
+    *acc >>= width;
+    *nbits -= width;
+    Ok(value)
+}
+
+/// Runs one read through a [`BitReader`] placed at the cursor's bit
+/// position, then moves the cursor past what it consumed. Only the stream
+/// tail takes this path, so its zero-filled window and exact EOF accounting
+/// are the reference decoder's.
+#[cold]
+fn checked_read<T>(
+    data: &[u8],
+    pos: &mut usize,
+    acc: &mut u64,
+    nbits: &mut u32,
+    read: impl FnOnce(&mut BitReader<'_>) -> Result<T>,
+) -> Result<T> {
+    let mut r = BitReader::at_bit_offset(data, *pos as u64 * 8 - u64::from(*nbits))?;
+    let value = read(&mut r)?;
+    (*pos, *acc, *nbits) = seek(data, r.bit_position())?;
+    Ok(value)
 }
 
 #[cfg(test)]

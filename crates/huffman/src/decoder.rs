@@ -157,9 +157,8 @@ impl DecodeTable {
     /// (checked by a debug assertion): under that invariant the window is
     /// backed by real stream bits, so the decoded length can neither exceed
     /// availability nor mask EOF — no refill, no width bookkeeping, just the
-    /// packed lookup and an invalid-prefix check. This is the shared inner
-    /// step of every batched/interleaved fast path; keeping it in one place
-    /// keeps their error behaviour identical.
+    /// packed lookup and an invalid-prefix check. This is the inner step of
+    /// [`Self::decode_run`].
     #[inline]
     pub fn decode_cached(&self, r: &mut BitReader<'_>) -> Result<u16> {
         debug_assert!(r.cached_bits() >= u32::from(self.index_bits));

@@ -173,12 +173,16 @@ impl Server {
                         }
                         scope.spawn(move || {
                             let outcome =
-                                catch_unwind(AssertUnwindSafe(|| crate::session::run(shared, stream, slot)));
+                                catch_unwind(AssertUnwindSafe(|| crate::session::run(shared, stream)));
                             if outcome.is_err() {
                                 shared.stats.panics_caught.bump();
                             }
                             lock(&shared.conns).remove(&conn_id);
                             shared.stats.sessions_completed.bump();
+                            // The slot goes last: once the drain sees no
+                            // active session, no finished one is still
+                            // listed as a connection to force.
+                            drop(slot);
                         });
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => {

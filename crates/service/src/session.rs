@@ -19,7 +19,6 @@
 //! while input is still arriving, and bounded socket buffers can never
 //! deadlock a large transfer.
 
-use crate::admission::SessionSlot;
 use crate::protocol::{
     read_frame, write_err, write_frame, CompressParams, ErrCode, FrameKind, JobSummary, DATA_CHUNK,
 };
@@ -36,9 +35,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// request cannot force a per-block allocation beyond this.
 pub const MAX_WIRE_BLOCK_SIZE: u32 = 8 << 20;
 
-/// Runs the request loop for one accepted connection. The session slot is
-/// held for the lifetime of this call (dropping on unwind included).
-pub(crate) fn run(shared: &Shared, stream: TcpStream, _slot: SessionSlot<'_>) {
+/// Runs the request loop for one accepted connection. The caller holds the
+/// connection's session slot for the lifetime of this call.
+pub(crate) fn run(shared: &Shared, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_write_timeout(Some(shared.config.io_timeout));
     let (reader, writer) = match (stream.try_clone(), stream.try_clone()) {

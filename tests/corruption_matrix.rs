@@ -12,8 +12,9 @@
 //! ([`FaultPlan::random_flips`]); both are fully deterministic.
 
 use gompresso::{
-    compress, decompress, decompress_salvage, decompress_with, CompressedFile, CompressorConfig, CostModel,
-    DecompressorConfig, FaultPlan, FaultReader, GompressoError, StreamCompressor, StreamDecompressor,
+    compress, decompress, decompress_salvage, decompress_with, ArchiveReader, CompressedFile,
+    CompressorConfig, CostModel, DecompressorConfig, FaultPlan, FaultReader, GompressoError,
+    StreamCompressor, StreamDecompressor,
 };
 use std::io::Cursor;
 use std::path::Path;
@@ -523,6 +524,51 @@ fn intact_v4_fixtures_decode_and_verify() {
 /// `cargo test -p gompresso --test corruption_matrix -- --ignored regenerate`
 /// and commit the results. Damage positions derive from the intact bytes,
 /// so regeneration is deterministic.
+/// A Bit payload's Huffman code carries its own maximum codeword length,
+/// which sizes a decode table of 2^max_len entries. Raising that one byte
+/// from the block's CWL (10) to 24 would make a few payload bytes allocate a
+/// 64 MiB table; every driver must refuse the block first, with the same
+/// typed error.
+#[test]
+fn code_wider_than_the_block_cwl_is_refused_by_every_driver() {
+    use gompresso::substrate::bitstream::{read_varint, ByteReader};
+    use gompresso::substrate::format::FormatError;
+
+    let data = test_input();
+    let mut config = small_block_config();
+    config.max_codeword_len = 10;
+    let container = compress(&data, &config).unwrap().file.serialize();
+    let mut cursor = Cursor::new(Vec::new());
+    StreamCompressor::new(config).unwrap().compress_seekable(data.as_slice(), &mut cursor).unwrap();
+    let stream = cursor.into_inner();
+
+    let refused = |err: &GompressoError, what: &str| {
+        assert!(
+            matches!(
+                err.root_cause(),
+                GompressoError::Format(FormatError::InvalidHeaderField { field: "code_max_len", value: 24 })
+            ),
+            "{what}: expected the code_max_len refusal, got {err:?}"
+        );
+    };
+    for (name, mut archive) in [("container", container), ("stream", stream)] {
+        // The literal/length code opens block 0's payload: a varint
+        // alphabet size, then the max-length byte.
+        let entry = ArchiveReader::open(Cursor::new(archive.clone())).unwrap().index().entry(0).clone();
+        let payload_at = entry.compressed_offset as usize;
+        let mut r = ByteReader::new(&archive[payload_at..]);
+        read_varint(&mut r).unwrap();
+        let max_len_at = payload_at + r.position();
+        assert_eq!(archive[max_len_at], 10, "{name}: the code records the block's CWL");
+        archive[max_len_at] = 24;
+
+        let err = if name == "container" { container_decode(&archive) } else { stream_decode(&archive) };
+        refused(&err.unwrap_err(), name);
+        let mut reader = ArchiveReader::open(Cursor::new(archive)).unwrap();
+        refused(&reader.decompress_range(0..1).unwrap_err(), &format!("{name} range read"));
+    }
+}
+
 #[test]
 #[ignore = "fixture generator, run manually"]
 fn regenerate_v4_fixtures() {
